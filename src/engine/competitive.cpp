@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <limits>
-#include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 #include "engine/registry.h"
+#include "engine/session.h"
 
 namespace vdist::engine {
 
@@ -28,7 +28,7 @@ OfflinePoint solve_offline(const model::Instance& snapshot,
   SolveRequest req;
   req.instance = &snapshot;
   req.algorithm = algorithm;
-  // The greedy-family references must race the same kernel the backend
+  // The greedy-family references must race the same kernel the session
   // runs, or "bit-exact" would hinge on an accident; algorithms that do
   // not declare `select` (exact...) must not be handed it.
   const SolverInfo& info = SolverRegistry::global().info(algorithm);
@@ -53,7 +53,7 @@ CompetitiveReport run_competitive(const model::Instance& parent,
                                   std::span<const model::InstanceEvent> trace,
                                   const CompetitiveOptions& opts) {
   ServeConfig cfg = opts.serve;
-  // The repair bound is guaranteed at the backend's own drift
+  // The repair bound is guaranteed at the session's own drift
   // checkpoints; align them with the measurement prefixes so every
   // measured ratio had its chance to self-correct (the serve --check
   // rule). A refresh that divides `every` already lands there.
@@ -69,17 +69,16 @@ CompetitiveReport run_competitive(const model::Instance& parent,
       !opts.offline.empty()               ? opts.offline
       : cfg.mode == core::SmdMode::kAugmented ? "greedy-augmented"
                                               : "greedy";
-  report.shards = cfg.shards;
 
-  const std::unique_ptr<ServingBackend> backend = make_backend(parent, cfg);
+  Session session(parent, cfg);
   const auto checkpoint = [&](std::size_t applied) {
-    const model::Instance snapshot = backend->snapshot();
+    const model::Instance snapshot = session.snapshot();
     const OfflinePoint offline =
         solve_offline(snapshot, report.offline_algorithm, opts);
     report.offline_wall_ms += offline.wall_ms;
     CompetitiveCheckpoint cp;
     cp.event = applied;
-    cp.online_objective = backend->objective();
+    cp.online_objective = session.objective();
     cp.offline_objective = offline.objective;
     cp.ratio = ratio_of(cp.online_objective, cp.offline_objective);
     cp.upper_bound = offline.upper_bound;
@@ -92,7 +91,7 @@ CompetitiveReport run_competitive(const model::Instance& parent,
 
   std::size_t applied = 0;
   for (const model::InstanceEvent& event : trace) {
-    const RepairStats stats = backend->apply(event);
+    const RepairStats stats = session.apply(event);
     report.serve_wall_ms += stats.wall_ms;
     ++applied;
     if (opts.every > 0 && applied % opts.every == 0 &&
@@ -103,7 +102,7 @@ CompetitiveReport run_competitive(const model::Instance& parent,
   // the opening solve, where every policy meets the offline value.
   checkpoint(applied);
 
-  report.counters = backend->counters();
+  report.counters = session.counters();
   double sum = 0.0;
   report.min_ratio = std::numeric_limits<double>::infinity();
   for (const CompetitiveCheckpoint& cp : report.checkpoints) {
@@ -140,8 +139,8 @@ void write_competitive_json(std::ostream& os,
   std::ostringstream doc;
   doc.precision(17);
   doc << "{\"compete\":\"" << report.policy << "\",\"offline\":\""
-      << report.offline_algorithm << "\",\"shards\":" << report.shards
-      << ",\"events\":" << report.counters.events
+      << report.offline_algorithm
+      << "\",\"events\":" << report.counters.events
       << ",\"min_ratio\":" << report.min_ratio
       << ",\"mean_ratio\":" << report.mean_ratio
       << ",\"final_ratio\":" << report.final_ratio

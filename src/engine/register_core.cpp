@@ -2,7 +2,6 @@
 // SolveOptions keys onto the algorithm's native option struct and folds
 // its native result into a SolveOutcome; nothing here contains algorithm
 // logic.
-#include <memory>
 #include <utility>
 
 #include "core/allocate_online.h"
@@ -14,7 +13,7 @@
 #include "core/skew_bands.h"
 #include "engine/builtin_solvers.h"
 #include "engine/registry.h"
-#include "engine/serving.h"
+#include "engine/session.h"
 #include "util/rng.h"
 #include "workload/workload.h"
 
@@ -185,14 +184,14 @@ SolveOutcome run_online(const SolveRequest& req) {
   return out;
 }
 
-// The serving backend as a sweepable solver: derive a deterministic
+// The serving session as a sweepable solver: derive a deterministic
 // event trace from (instance, family, seed, trace overrides), replay it
-// through a make_backend() ServingBackend under the requested repair
-// policy and shard count, and report the end-state solution plus the
-// backend's repair accounting. This is how BatchRunner sweeps exercise
-// the dynamic setting without a side-channel event file; `family`
-// selects any workload-registry adversary (churn, zipf-drift,
-// flash-crowd, diurnal, hetero-cap) as a sweepable axis.
+// through an engine::Session under the requested repair policy, and
+// report the end-state solution plus the session's repair accounting.
+// This is how BatchRunner sweeps exercise the dynamic setting without a
+// side-channel event file; `family` selects any workload-registry
+// adversary (churn, zipf-drift, flash-crowd, diurnal, hetero-cap) as a
+// sweepable axis.
 SolveOutcome run_serve(const SolveRequest& req) {
   ServeConfig cfg = ServeConfig::from_options(req.options);
   // Share the batch runner's per-thread workspace like every adapter.
@@ -212,24 +211,23 @@ SolveOutcome run_serve(const SolveRequest& req) {
       workload::WorkloadRegistry::global().generate(cfg.family,
                                                     *req.instance, wparams);
 
-  const std::unique_ptr<ServingBackend> backend =
-      make_backend(*req.instance, cfg);
+  Session session(*req.instance, cfg);
   double objective_sum = 0.0;
   double repair_wall_ms = 0.0;
   for (const model::InstanceEvent& event : trace) {
-    const RepairStats stats = backend->apply(event);
+    const RepairStats stats = session.apply(event);
     objective_sum += stats.objective;
     repair_wall_ms += stats.wall_ms;
   }
 
-  SolveOutcome out{backend->assignment()};
-  out.objective = backend->objective();
-  out.variant = backend->variant();
+  SolveOutcome out{session.assignment()};
+  out.objective = session.objective();
+  out.variant = session.variant();
   if (req.validate) {
-    // Judge feasibility against the world the backend actually serves —
+    // Judge feasibility against the world the session actually serves —
     // the event-churned state — not the pre-churn parent, whose caps
     // and utilities the trace has since moved.
-    const model::Instance snapshot = backend->snapshot();
+    const model::Instance snapshot = session.snapshot();
     model::Assignment on_snapshot(snapshot);
     for (std::size_t u = 0; u < snapshot.num_users(); ++u)
       for (const model::StreamId s :
@@ -240,7 +238,7 @@ SolveOutcome run_serve(const SolveRequest& req) {
     out.stats["violations"] =
         static_cast<double>(report.violations.size());
   }
-  const SessionCounters& counters = backend->counters();
+  const SessionCounters& counters = session.counters();
   out.stats["events"] = static_cast<double>(counters.events);
   out.stats["local_repairs"] = static_cast<double>(counters.local_repairs);
   out.stats["full_resolves"] = static_cast<double>(counters.full_resolves);
@@ -249,12 +247,11 @@ SolveOutcome run_serve(const SolveRequest& req) {
       static_cast<double>(counters.online_accepts);
   out.stats["online_rejects"] =
       static_cast<double>(counters.online_rejects);
-  out.stats["shards"] = static_cast<double>(backend->num_shards());
   out.stats["repair_wall_ms"] = repair_wall_ms;
   if (!trace.empty())
     out.stats["objective_mean"] =
         objective_sum / static_cast<double>(trace.size());
-  report_select(out, backend->select_stats());
+  report_select(out, session.select_stats());
   return out;
 }
 
@@ -332,13 +329,12 @@ void register_core_solvers(SolverRegistry& r) {
         run_exact);
   r.add({.name = "serve",
          .description =
-             "serving backend (engine/serving.h): replay a seed-derived "
+             "serving session (engine/session.h): replay a seed-derived "
              "workload event trace through the repair|resolve|online "
-             "policy, sharded when --shards > 1; options: policy, events, "
-             "bound, refresh, mode, select, mu, guard, shards, queue, "
-             "trace, family; "
+             "policy; options: policy, events, bound, refresh, mode, "
+             "select, mu, guard, trace, family; "
              "stats: events, local_repairs, full_resolves, drift_checks, "
-             "shards, repair_wall_ms, objective_mean",
+             "repair_wall_ms, objective_mean",
          .form = InstanceForm::kUnitSkew,
          .deterministic = false,
          .option_keys = ServeConfig::option_keys()},

@@ -19,6 +19,32 @@ namespace {
 
 [[nodiscard]] double clamp0(double x) noexcept { return x > 0.0 ? x : 0.0; }
 
+// Lemma 2.6's Amax: the first stream of maximal effective total, valued
+// as sum_u min(W_u, w_us) over its live pairs.
+[[nodiscard]] double amax_value(const WorldRef& w) noexcept {
+  StreamId best = model::kInvalidStream;
+  double best_total = -1.0;
+  for (std::size_t ss = 0; ss < w.num_streams(); ++ss) {
+    const double total = w.total_utility[ss];
+    if (total > best_total) {
+      best_total = total;
+      best = static_cast<StreamId>(ss);
+    }
+  }
+  double w_amax = 0.0;
+  if (best != model::kInvalidStream && best_total > 0.0) {
+    const model::Instance& inst = *w.base;
+    for (model::EdgeId e = inst.first_edge(best); e < inst.last_edge(best);
+         ++e) {
+      const double wv = w.edge_utility[static_cast<std::size_t>(e)];
+      if (wv > 0.0)
+        w_amax += std::min(
+            w.capacity[static_cast<std::size_t>(inst.edge_user(e))], wv);
+    }
+  }
+  return w_amax;
+}
+
 }  // namespace
 
 double WorldRef::pair_utility(UserId u, StreamId s) const noexcept {
@@ -248,79 +274,41 @@ std::size_t RepairCore::run_completion(const WorldRef& w, const Context& ctx,
   return added;
 }
 
-RepairCore::WinnerPartial RepairCore::winner_partial(
-    const WorldRef& w, std::size_t u_begin, std::size_t u_end) const noexcept {
-  WinnerPartial acc;
-  for (std::size_t uu = u_begin; uu < u_end; ++uu) {
+double RepairCore::winner_objective(const WorldRef& w, core::SmdMode mode,
+                                    const char** variant) const {
+  // The greedy's capped utility and its Theorem 2.8 split, in user order.
+  double capped = 0.0;
+  core::SplitValues split;
+  for (std::size_t uu = 0; uu < w.num_users(); ++uu) {
     const double wv = user_w_[uu];
     if (wv <= 0.0) continue;
     const double cap = w.capacity[uu];
-    acc.capped += std::min(cap, wv);
+    capped += std::min(cap, wv);
     const double last = user_last_w_[uu];
     if (last <= 0.0) continue;
-    acc.split.w2 += last;
-    acc.split.w1 += !approx_le(wv, cap) ? wv - last : wv;
+    split.w2 += last;
+    split.w1 += !approx_le(wv, cap) ? wv - last : wv;
   }
-  return acc;
-}
 
-RepairCore::AmaxPartial RepairCore::amax_partial(const WorldRef& w,
-                                                 std::size_t s_begin,
-                                                 std::size_t s_end) noexcept {
-  AmaxPartial best;
-  for (std::size_t ss = s_begin; ss < s_end; ++ss) {
-    const double total = w.total_utility[ss];
-    if (total > best.total) {
-      best.total = total;
-      best.best = static_cast<StreamId>(ss);
-    }
-  }
-  return best;
-}
-
-double RepairCore::amax_value(const WorldRef& w,
-                              const AmaxPartial& best) noexcept {
-  double w_amax = 0.0;
-  if (best.best != model::kInvalidStream && best.total > 0.0) {
-    const model::Instance& inst = *w.base;
-    for (model::EdgeId e = inst.first_edge(best.best);
-         e < inst.last_edge(best.best); ++e) {
-      const double wv = w.edge_utility[static_cast<std::size_t>(e)];
-      if (wv > 0.0)
-        w_amax += std::min(
-            w.capacity[static_cast<std::size_t>(inst.edge_user(e))], wv);
-    }
-  }
-  return w_amax;
-}
-
-double RepairCore::race(const WinnerPartial& acc, double w_amax,
-                        core::SmdMode mode, const char** variant) noexcept {
+  const double w_amax = amax_value(w);
   if (mode == core::SmdMode::kAugmented) {
-    if (acc.capped >= w_amax) {
+    if (capped >= w_amax) {
       *variant = "greedy";
-      return acc.capped;
+      return capped;
     }
     *variant = "Amax";
     return w_amax;
   }
-  if (acc.split.w1 >= acc.split.w2 && acc.split.w1 >= w_amax) {
+  if (split.w1 >= split.w2 && split.w1 >= w_amax) {
     *variant = "A1";
-    return acc.split.w1;
+    return split.w1;
   }
-  if (acc.split.w2 >= w_amax) {
+  if (split.w2 >= w_amax) {
     *variant = "A2";
-    return acc.split.w2;
+    return split.w2;
   }
   *variant = "Amax";
   return w_amax;
-}
-
-double RepairCore::winner_objective(const WorldRef& w, core::SmdMode mode,
-                                    const char** variant) const {
-  const WinnerPartial acc = winner_partial(w, 0, w.num_users());
-  const AmaxPartial best = amax_partial(w, 0, w.num_streams());
-  return race(acc, amax_value(w, best), mode, variant);
 }
 
 model::Assignment RepairCore::build_semi(const WorldRef& w) const {
@@ -456,8 +444,7 @@ double fresh_winner_objective(const WorldRef& w, const RepairCore::Context& ctx,
   engine.run();
   select.merge(engine.result().select);
   const core::SplitValues split = engine.split_values();
-  const double w_amax = RepairCore::amax_value(
-      w, RepairCore::amax_partial(w, 0, w.num_streams()));
+  const double w_amax = amax_value(w);
   if (ctx.mode == core::SmdMode::kAugmented)
     return std::max(engine.capped_utility(), w_amax);
   return std::max({split.w1, split.w2, w_amax});

@@ -1,15 +1,12 @@
-// The §2 greedy's live repair state, extracted from engine::Session so
-// the sharded coordinator (engine/sharded_session.h) can run the
-// *identical* arithmetic over its gathered arrays.
+// The §2 greedy's live repair state behind engine::Session's kRepair
+// policy.
 //
-// WorldRef is the seam: a read-only binding of the serving world — the
-// structural base plus the four effective arrays an InstanceOverlay (or
-// the sharded gather) maintains. RepairCore holds everything the
-// incremental repair needs between events (per-user residuals, the added
-// sequence, pool residual utilities w̄, budget accounting) and exposes the
-// event lifecycle as pre_event / post_event around the caller's world
-// mutation. Keeping the arithmetic in one class is what makes the
-// single-shard and sharded repair paths bit-identical per shard count.
+// WorldRef is a read-only binding of the serving world — the structural
+// base plus the four effective arrays an InstanceOverlay maintains.
+// RepairCore holds everything the incremental repair needs between
+// events (per-user residuals, the added sequence, pool residual
+// utilities w̄, budget accounting) and exposes the event lifecycle as
+// pre_event / post_event around the caller's world mutation.
 #pragma once
 
 #include <cstdint>
@@ -26,8 +23,7 @@
 namespace vdist::engine {
 
 // Read-only view of the live serving world: the structural base plus the
-// effective per-entity arrays (what InstanceOverlay::view() binds, and
-// what the sharded coordinator gathers from the shard owners).
+// effective per-entity arrays (what InstanceOverlay::view() binds).
 struct WorldRef {
   const model::Instance* base = nullptr;
   std::span<const double> edge_utility;   // effective, per base edge
@@ -74,18 +70,6 @@ class RepairCore {
     double old_pair_w = 0.0;  // kUtilityChange: the pair's old value
   };
 
-  // Per-user terms of the Theorem 2.8 race, summed over [u_begin, u_end)
-  // in user order — the sharded winner reduction's partial.
-  struct WinnerPartial {
-    double capped = 0.0;  // greedy capped utility
-    core::SplitValues split;
-  };
-  // First-max argmax of the (effective) stream totals over a range.
-  struct AmaxPartial {
-    model::StreamId best = model::kInvalidStream;
-    double total = -1.0;
-  };
-
   // From-scratch rebuild: engine-identical init (pool w̄ = effective
   // totals, tombstoned streams start dead at 0) + greedy completion.
   void resolve(const WorldRef& w, const Context& ctx,
@@ -103,23 +87,6 @@ class RepairCore {
   // The race value of the maintained state; sets *variant to the winner.
   [[nodiscard]] double winner_objective(const WorldRef& w, core::SmdMode mode,
                                         const char** variant) const;
-
-  // The race, in parallel-reducible pieces. Chunked partials combined in
-  // chunk order reproduce the serial winner_objective() exactly when the
-  // chunks tile the ranges in order (and bit-identically for one chunk).
-  [[nodiscard]] WinnerPartial winner_partial(const WorldRef& w,
-                                             std::size_t u_begin,
-                                             std::size_t u_end) const noexcept;
-  [[nodiscard]] static AmaxPartial amax_partial(const WorldRef& w,
-                                                std::size_t s_begin,
-                                                std::size_t s_end) noexcept;
-  // Values the Amax candidate: sum_u min(W_u, w_us) over the best
-  // stream's live pairs.
-  [[nodiscard]] static double amax_value(const WorldRef& w,
-                                         const AmaxPartial& best) noexcept;
-  [[nodiscard]] static double race(const WinnerPartial& acc, double w_amax,
-                                   core::SmdMode mode,
-                                   const char** variant) noexcept;
 
   // The maintained semi-feasible assignment (the race's greedy input).
   [[nodiscard]] model::Assignment build_semi(const WorldRef& w) const;

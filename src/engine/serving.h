@@ -1,28 +1,16 @@
-// The serving backend API: one interface over every engine that consumes
-// model::InstanceEvents and maintains a live Section-2 solution.
+// The serve option surface: the repair policies, the one struct that
+// declares every serve knob, and the per-event accounting a serving
+// engine::Session (engine/session.h) reports.
 //
-// PR 5's engine::Session is the single-shard implementation; this header
-// is the seam that makes horizontal scale a pure config flip. A
-// ServeConfig is the one typed home of every serve option — the solver
-// registry's `serve` adapter, `vdist_cli serve`, and sweep plan lines all
-// parse through ServeConfig::from_options(), so a typo'd key or a bad
-// value is rejected identically everywhere. make_backend() then returns
-//
-//   * engine::Session        when cfg.shards == 1 (engine/session.h), or
-//   * engine::ShardedSession when cfg.shards  > 1 (engine/sharded_session.h):
-//     users and streams hash-partitioned across N worker shards, events
-//     routed by entity id over bounded per-shard queues.
-//
-// The parity contract callers rely on: under ServePolicy::kResolve the
-// objective and pair set are bit-identical for every shard count at every
-// event prefix (the sharded coordinator re-solves the same gathered
-// arrays a single overlay would hold). Under kRepair each fixed shard
-// count is deterministic and drift-bounded, but float summation order —
-// and therefore the exact bits — may differ across shard counts.
+// ServeConfig is the typed home of every serve option — the solver
+// registry's `serve` adapter, `vdist_cli serve`/`compete`, and sweep plan
+// lines all parse through ServeConfig::from_options(), so a typo'd key or
+// a bad value is rejected identically everywhere. Its session knobs are
+// the SessionOptions base a Session is constructed from; the remaining
+// fields only derive the registry adapter's event trace.
 #pragma once
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,9 +18,6 @@
 #include "core/greedy.h"
 #include "core/select.h"
 #include "engine/solver.h"
-#include "model/assignment.h"
-#include "model/events.h"
-#include "model/instance.h"
 
 namespace vdist::engine {
 
@@ -46,14 +31,16 @@ enum class ServePolicy {
 [[nodiscard]] ServePolicy parse_serve_policy(const std::string& name);
 [[nodiscard]] const char* to_string(ServePolicy policy) noexcept;
 
+// A Session's knobs. The option-key names are ServeConfig::declared()'s;
+// workspace and open_empty are caller wiring, not option keys.
 struct SessionOptions {
   ServePolicy policy = ServePolicy::kRepair;
   // kRepair: relative drift (fresh - current) / max(fresh, 1) tolerated
   // before a drift check escalates to a full resolve.
-  double quality_bound = 0.05;
+  double bound = 0.05;
   // kRepair: events between drift checks; 1 checks after every event
   // (the parity-test setting), 0 never checks.
-  int refresh_interval = 64;
+  int refresh = 64;
   // Which §2.2 winner the session maintains: kFeasible races A1/A2/Amax,
   // kAugmented races the semi-feasible greedy against Amax.
   core::SmdMode mode = core::SmdMode::kFeasible;
@@ -78,7 +65,7 @@ enum class RepairAction {
 // What one event cost and did.
 struct RepairStats {
   RepairAction action = RepairAction::kLocalRepair;
-  double objective = 0.0;  // backend objective after the event
+  double objective = 0.0;  // session objective after the event
   double wall_ms = 0.0;
   std::size_t users_refreshed = 0;   // users released and replayed
   std::size_t streams_released = 0;  // added streams given back
@@ -104,20 +91,9 @@ struct ServeOptionSpec {
   const char* description;
 };
 
-// Every serve knob, typed and validated in one place.
-struct ServeConfig {
-  ServePolicy policy = ServePolicy::kRepair;
-  double bound = 0.05;  // kRepair relative drift tolerance
-  int refresh = 64;     // kRepair events between drift checks (0 = never)
-  core::SmdMode mode = core::SmdMode::kFeasible;
-  core::SelectStrategy strategy = core::SelectStrategy::kDeltaHeap;
-  double mu = 0.0;   // kOnline learning rate (<= 0 derives the paper's)
-  bool guard = true;  // kOnline feasibility guard
-  // Shard count: 1 = single Session; > 1 = ShardedSession with one
-  // worker thread + overlay replica + workspace per shard.
-  int shards = 1;
-  // Bounded per-shard event-queue capacity (the router blocks when full).
-  std::size_t queue = 256;
+// Every serve option, typed and validated in one place: the session's
+// knobs plus the registry adapter's trace derivation.
+struct ServeConfig : SessionOptions {
   // Registry-adapter knobs (`serve` derives an event trace per request;
   // the CLI replays an event file instead and ignores these).
   std::size_t events = 200;
@@ -126,10 +102,6 @@ struct ServeConfig {
   // names: churn, zipf-drift, flash-crowd, diurnal, hetero-cap).
   std::string family = "churn";
 
-  // Not option keys: adapter-level wiring.
-  core::SolveWorkspace* workspace = nullptr;
-  bool open_empty = false;
-
   // The declared option surface, in help order.
   [[nodiscard]] static std::span<const ServeOptionSpec> declared();
   [[nodiscard]] static std::vector<std::string> option_keys();
@@ -137,68 +109,16 @@ struct ServeConfig {
   // registry's / CLI's strict-mode concern; bad values throw
   // std::invalid_argument here, with the same message everywhere).
   [[nodiscard]] static ServeConfig from_options(const SolveOptions& opts);
-  // The single-shard engine's native option struct.
-  [[nodiscard]] SessionOptions session_options() const;
 };
 
-// What check_parity() found: the backend's maintained objective vs a
+// What Session::check_parity() found: the maintained objective vs a
 // from-scratch solve of the materialized current world.
 struct ParityReport {
   bool ok = true;
-  double current = 0.0;  // backend objective
+  double current = 0.0;  // maintained objective
   double fresh = 0.0;    // from-scratch solve of snapshot()
   double drift = 0.0;    // (fresh - current) / max(fresh, 1)
   std::string detail;    // set when !ok
 };
-
-// The backend interface every serving engine implements. Lifetime and
-// threading contract: one logical caller (apply/assignment/check_parity
-// are not concurrently callable); implementations may own worker threads
-// internally.
-class ServingBackend {
- public:
-  virtual ~ServingBackend() = default;
-
-  // Applies one event and repairs per the policy. Invalid ids throw
-  // std::invalid_argument with the backend state unchanged.
-  virtual RepairStats apply(const model::InstanceEvent& event) = 0;
-
-  // The maintained objective under the current world (see session.h for
-  // the per-policy definition).
-  [[nodiscard]] virtual double objective() const = 0;
-  // The maintained assignment, materialized lazily against instance().
-  // Valid until the next apply().
-  [[nodiscard]] virtual const model::Assignment& assignment() = 0;
-  // The current structural base (stable entity ids; rebuilt on appends).
-  [[nodiscard]] virtual const model::Instance& instance() const = 0;
-  [[nodiscard]] virtual ServePolicy policy() const = 0;
-  [[nodiscard]] virtual const SessionCounters& counters() const = 0;
-  [[nodiscard]] virtual const core::SelectStats& select_stats() const = 0;
-  // Which race candidate objective() reflects ("greedy", "A1", "A2",
-  // "Amax", or "online").
-  [[nodiscard]] virtual const char* variant() const = 0;
-  // From-scratch §2.2 winner value of the current world (scoring mode).
-  [[nodiscard]] virtual double fresh_objective() = 0;
-  [[nodiscard]] virtual int num_shards() const = 0;
-  // Bakes the current world into a standalone Instance (the validation /
-  // parity snapshot; bit-compatible with the live view while no live
-  // pair exceeds its cap — the event generator's guarantee).
-  [[nodiscard]] virtual model::Instance snapshot() const = 0;
-  // Solves snapshot() from scratch and compares: kResolve demands
-  // bit-equality, kRepair drift within bound (+1e-9 slack), kOnline is
-  // trivially ok (Allocate's competitiveness is not a per-event bound).
-  [[nodiscard]] virtual ParityReport check_parity() = 0;
-};
-
-// The config flip: Session for shards == 1, ShardedSession for > 1.
-// Requires a unit-skew cap-form parent that outlives the backend.
-[[nodiscard]] std::unique_ptr<ServingBackend> make_backend(
-    const model::Instance& parent, const ServeConfig& cfg);
-
-// Shared implementation of ServingBackend::check_parity().
-[[nodiscard]] ParityReport check_parity_against(
-    const model::Instance& snapshot, double current, ServePolicy policy,
-    core::SmdMode mode, core::SelectStrategy strategy,
-    core::SolveWorkspace* workspace, double bound);
 
 }  // namespace vdist::engine

@@ -15,9 +15,9 @@
 //     arithmetic as GreedyEngine::add_stream, reported through
 //     StreamSelector::update), and a greedy *completion* reconsiders the
 //     pool only when the event could have opened room (joins, restores,
-//     freed budget/capacity). Every `refresh_interval` events the session
+//     freed budget/capacity). Every `refresh` events the session
 //     scores a from-scratch greedy (scoring mode, no assignment build);
-//     relative drift beyond `quality_bound` triggers a full resolve that
+//     relative drift beyond `bound` triggers a full resolve that
 //     rebuilds the state.
 //   * kResolve — per-event from-scratch solve_unit_skew on the overlay
 //     view: bit-identical to a one-shot `greedy` solve of the overlay's
@@ -34,9 +34,8 @@
 // winner (or the Corollary 2.7 semi-feasible one under kAugmented); for
 // kOnline the capped utility of the accepted pairs.
 //
-// Session is the single-shard engine::ServingBackend (engine/serving.h);
-// engine::ShardedSession is the N-shard one. Construct through
-// make_backend() unless the concrete type is needed.
+// Options come from SessionOptions (engine/serving.h); a parsed
+// ServeConfig is one, so callers construct `Session(parent, cfg)`.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +54,7 @@
 
 namespace vdist::engine {
 
-class Session final : public ServingBackend {
+class Session {
  public:
   // Requires parent.is_smd() && parent.is_unit_skew() (throws
   // std::invalid_argument otherwise). The parent must outlive the
@@ -68,52 +67,50 @@ class Session final : public ServingBackend {
   // Applies one event and repairs per the policy. Invalid ids throw
   // std::invalid_argument (the overlay's validation) with the session
   // state unchanged.
-  RepairStats apply(const model::InstanceEvent& event) override;
+  RepairStats apply(const model::InstanceEvent& event);
 
   // The session objective under the current overlay (see the header
   // comment); maintained by apply().
-  [[nodiscard]] double objective() const noexcept override {
-    return objective_;
-  }
+  [[nodiscard]] double objective() const noexcept { return objective_; }
 
   // The maintained assignment, materialized lazily against instance().
   // Valid until the next apply().
-  [[nodiscard]] const model::Assignment& assignment() override;
+  [[nodiscard]] const model::Assignment& assignment();
 
   // The overlay's current base (stable entity ids; rebuilt on appends).
-  [[nodiscard]] const model::Instance& instance() const noexcept override {
+  [[nodiscard]] const model::Instance& instance() const noexcept {
     return overlay_.instance();
   }
   [[nodiscard]] const model::InstanceOverlay& overlay() const noexcept {
     return overlay_;
   }
-  [[nodiscard]] ServePolicy policy() const noexcept override {
-    return opts_.policy;
-  }
-  [[nodiscard]] const SessionCounters& counters() const noexcept override {
+  [[nodiscard]] ServePolicy policy() const noexcept { return opts_.policy; }
+  [[nodiscard]] const SessionCounters& counters() const noexcept {
     return counters_;
   }
   // Selection-kernel work accumulated across every repair/resolve.
-  [[nodiscard]] const core::SelectStats& select_stats()
-      const noexcept override {
+  [[nodiscard]] const core::SelectStats& select_stats() const noexcept {
     return select_;
   }
   // Which race candidate objective() reflects ("greedy", "A1", "A2",
   // "Amax", or "online").
-  [[nodiscard]] const char* variant() const noexcept override {
-    return variant_;
-  }
+  [[nodiscard]] const char* variant() const noexcept { return variant_; }
 
   // From-scratch §2.2 winner value of the *current* overlay state
   // (scoring mode, no assignment). The parity yardstick for any policy,
   // and what drift checks compare against.
-  [[nodiscard]] double fresh_objective() override;
+  [[nodiscard]] double fresh_objective();
 
-  [[nodiscard]] int num_shards() const noexcept override { return 1; }
-  [[nodiscard]] model::Instance snapshot() const override {
+  // Bakes the current world into a standalone Instance (the validation /
+  // parity snapshot; bit-compatible with the live view while no live
+  // pair exceeds its cap — the event generator's guarantee).
+  [[nodiscard]] model::Instance snapshot() const {
     return overlay_.materialize();
   }
-  [[nodiscard]] ParityReport check_parity() override;
+  // Solves snapshot() from scratch and compares: kResolve demands
+  // bit-equality, kRepair drift within bound (+1e-9 slack), kOnline is
+  // trivially ok (Allocate's competitiveness is not a per-event bound).
+  [[nodiscard]] ParityReport check_parity();
 
  private:
   struct AcceptedStream {  // kOnline bookkeeping, per stream

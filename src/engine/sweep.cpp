@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
+#include <utility>
 
 #include "engine/registry.h"
 #include "util/json.h"
@@ -55,8 +57,7 @@ void append_axis_keys(const std::vector<SweepAxis>& axes,
       keys.push_back(axis.key);
 }
 
-}  // namespace
-
+// The SolveResult -> RunRecord projection applied to every solve.
 RunRecord to_run_record(SolveResult&& r, bool keep_assignment) {
   RunRecord rec;
   rec.ok = r.ok;
@@ -75,6 +76,8 @@ RunRecord to_run_record(SolveResult&& r, bool keep_assignment) {
     rec.assignment = std::move(r.assignment);
   return rec;
 }
+
+}  // namespace
 
 double SweepCell::mean_stat(const std::string& key) const {
   util::RunningStats s;
@@ -116,167 +119,151 @@ std::string SweepResult::first_error() const {
   return {};
 }
 
-ScenarioSpec ExpandedSweep::replicate_spec(std::size_t sc,
-                                           std::size_t rep) const {
-  ScenarioSpec spec = scenario_cells[sc].spec;
-  spec.seed = scenario_cells[sc].spec.seed + rep;
-  return spec;
-}
+namespace {
 
-SolveRequest ExpandedSweep::make_request(std::size_t sc, std::size_t rep,
-                                         std::size_t ac) const {
-  SolveRequest req;
-  req.algorithm = algorithm_cells[ac].spec.name;
-  req.options = algorithm_cells[ac].spec.options;
-  req.seed = scenario_cells[sc].spec.seed + rep;
-  // Pair generated workloads (serve traces) across algorithm cells
-  // the same way instances are paired: replicate r of every cell
-  // replays the same trace, so a shards or policy axis compares
-  // algorithms on one workload instead of one workload each.
-  req.workload_seed = req.seed;
-  req.time_budget_ms = time_budget_ms;
-  req.validate = validate;
-  req.tag = scenario_cells[sc].label + " / " + algorithm_cells[ac].label +
-            " #" + std::to_string(rep);
-  return req;
-}
-
-ExpandedSweep SweepPlan::expand(bool strict) const {
-  if (scenarios.empty())
+// Expands the plan into the result grid without building instances or
+// solving: every (scenario cell, algorithm cell) with registry defaults
+// and axis values folded in, `skipped` where an algo-only restriction
+// excludes the pair. Throws std::invalid_argument on plan errors
+// (unknown scenario, undeclared param, empty grid); with strict = true,
+// algorithm options are validated too.
+SweepResult expand_grid(const SweepPlan& plan, bool strict) {
+  if (plan.scenarios.empty())
     throw std::invalid_argument("sweep plan has no scenarios");
-  if (algorithms.empty())
+  if (plan.algorithms.empty())
     throw std::invalid_argument("sweep plan has no algorithms");
-  if (replicates < 1)
+  if (plan.replicates < 1)
     throw std::invalid_argument("sweep plan replicates must be >= 1");
 
   const ScenarioRegistry& scenario_registry = ScenarioRegistry::global();
   const SolverRegistry& solvers = SolverRegistry::global();
 
-  ExpandedSweep ex;
-  ex.replicates = replicates;
-  ex.time_budget_ms = time_budget_ms;
-  ex.validate = validate;
-
-  // --- Expand the scenario cells -------------------------------------------
+  // --- Expand the scenario cells (spec, label) -----------------------------
+  std::vector<std::pair<ScenarioSpec, std::string>> scenario_cells;
   const std::vector<Assignment> scenario_assignments =
-      expand_axes(scenario_axes);
-  for (const ScenarioSpec& base : scenarios) {
+      expand_axes(plan.scenario_axes);
+  for (const ScenarioSpec& base : plan.scenarios) {
     for (const Assignment& a : scenario_assignments) {
       ScenarioSpec spec = base;
       for (const auto& [key, value] : a) spec.params.set(key, value);
       // Scenario params are fully declared, so resolution is always
       // strict: a typo in a plan axis fails here, before any solve.
       spec = scenario_registry.resolve(spec, /*strict=*/true);
-      ex.scenario_cells.push_back(
-          {std::move(spec),
-           label_with_axes(base.label.empty() ? base.name : base.label, a)});
+      scenario_cells.emplace_back(
+          std::move(spec),
+          label_with_axes(base.label.empty() ? base.name : base.label, a));
     }
   }
 
-  // --- Expand the algorithm cells ------------------------------------------
-  for (const AlgorithmSpec& base : algorithms) {
+  // --- Expand the algorithm cells (spec, label) ----------------------------
+  std::vector<std::pair<AlgorithmSpec, std::string>> algorithm_cells;
+  for (const AlgorithmSpec& base : plan.algorithms) {
     (void)solvers.info(base.name);  // unknown algorithm: throw, listing names
     for (const Assignment& a : expand_axes(base.axes)) {
       AlgorithmSpec spec = base;
       for (const auto& [key, value] : a) spec.options.set(key, value);
       if (strict) solvers.check_options(spec.name, spec.options);
-      ex.algorithm_cells.push_back(
-          {std::move(spec),
-           label_with_axes(base.label.empty() ? base.name : base.label, a)});
+      algorithm_cells.emplace_back(
+          std::move(spec),
+          label_with_axes(base.label.empty() ? base.name : base.label, a));
     }
   }
-
-  const std::size_t S = ex.scenario_cells.size();
-  const std::size_t A = ex.algorithm_cells.size();
-  const auto R = static_cast<std::size_t>(replicates);
 
   // --- Resolve the algo-only restrictions ----------------------------------
-  ex.include.assign(S * A, 1);
-  for (std::size_t ac = 0; ac < A; ++ac) {
-    const std::vector<std::string>& only = ex.algorithm_cells[ac].spec.only;
-    if (only.empty()) continue;
-    for (const std::string& name : only) {
-      const bool known = std::any_of(
-          ex.scenario_cells.begin(), ex.scenario_cells.end(),
-          [&](const ExpandedSweep::ScenarioCell& sc) {
-            return sc.spec.name == name || sc.label == name;
-          });
-      if (!known)
-        throw std::invalid_argument(
-            "sweep plan: algo-only scenario '" + name + "' (on algo '" +
-            ex.algorithm_cells[ac].spec.name + "') matches no scenario line");
-    }
-    for (std::size_t sc = 0; sc < S; ++sc) {
-      const bool match = std::any_of(
-          only.begin(), only.end(), [&](const std::string& name) {
-            return ex.scenario_cells[sc].spec.name == name ||
-                   ex.scenario_cells[sc].label == name;
-          });
-      if (!match) ex.include[sc * A + ac] = 0;
-    }
-  }
+  const auto matches = [](const std::pair<ScenarioSpec, std::string>& sc,
+                          const std::string& name) {
+    return sc.first.name == name || sc.second == name;
+  };
+  for (const auto& [algo, label] : algorithm_cells)
+    for (const std::string& name : algo.only)
+      if (std::none_of(scenario_cells.begin(), scenario_cells.end(),
+                       [&](const auto& sc) { return matches(sc, name); }))
+        throw std::invalid_argument("sweep plan: algo-only scenario '" +
+                                    name + "' (on algo '" + algo.name +
+                                    "') matches no scenario line");
 
-  // --- Assign the global request indices -----------------------------------
-  // This order (scenario cell -> replicate -> algorithm cell) is load-
-  // bearing: BatchRunner derives per-request seeds from these indices, so
-  // any executor reproducing a cell must use the same numbering.
-  ex.slot.assign(S * R * A, ExpandedSweep::kSkippedSlot);
+  SweepResult result;
+  result.num_scenario_cells = scenario_cells.size();
+  result.num_algorithm_cells = algorithm_cells.size();
+  result.replicates = plan.replicates;
+  append_axis_keys(plan.scenario_axes, result.scenario_axis_keys);
+  for (const AlgorithmSpec& algo : plan.algorithms)
+    append_axis_keys(algo.axes, result.algorithm_axis_keys);
+  for (std::size_t sc = 0; sc < scenario_cells.size(); ++sc)
+    for (std::size_t ac = 0; ac < algorithm_cells.size(); ++ac) {
+      SweepCell cell;
+      cell.scenario_cell = sc;
+      cell.algorithm_cell = ac;
+      std::tie(cell.scenario, cell.scenario_label) = scenario_cells[sc];
+      std::tie(cell.algorithm, cell.algorithm_label) = algorithm_cells[ac];
+      const std::vector<std::string>& only = cell.algorithm.only;
+      cell.skipped =
+          !only.empty() &&
+          std::none_of(only.begin(), only.end(), [&](const std::string& n) {
+            return matches(scenario_cells[sc], n);
+          });
+      result.cells.push_back(std::move(cell));
+    }
+  return result;
+}
+
+}  // namespace
+
+SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
+  SweepResult result = expand_grid(plan, options.strict);
+  const ScenarioRegistry& scenarios = ScenarioRegistry::global();
+  const std::size_t S = result.num_scenario_cells;
+  const std::size_t A = result.num_algorithm_cells;
+  const auto R = static_cast<std::size_t>(plan.replicates);
+
+  // --- Build the instances (replicate r: scenario seed + r) ----------------
+  std::vector<model::Instance> instances;
+  instances.reserve(S * R);
+  for (std::size_t sc = 0; sc < S; ++sc)
+    for (std::size_t rep = 0; rep < R; ++rep) {
+      ScenarioSpec spec = result.cells[sc * A].scenario;
+      spec.seed += rep;
+      instances.push_back(scenarios.build(spec, /*strict=*/true));
+    }
+
+  // --- Expand and run the requests -----------------------------------------
+  // Request order (scenario cell -> replicate -> algorithm cell, skipped
+  // grid points omitted) is load-bearing: BatchRunner derives per-request
+  // seeds from the request index.
+  std::vector<SolveRequest> requests;
   for (std::size_t sc = 0; sc < S; ++sc)
     for (std::size_t rep = 0; rep < R; ++rep)
       for (std::size_t ac = 0; ac < A; ++ac) {
-        if (ex.include[sc * A + ac] == 0) continue;
-        ex.slot[(sc * R + rep) * A + ac] = ex.num_requests++;
+        const SweepCell& cell = result.cells[sc * A + ac];
+        if (cell.skipped) continue;
+        SolveRequest req;
+        req.instance = &instances[sc * R + rep];
+        req.algorithm = cell.algorithm.name;
+        req.options = cell.algorithm.options;
+        req.seed = cell.scenario.seed + rep;
+        // Pair generated workloads (serve traces) across algorithm cells
+        // the same way instances are paired: replicate r of every cell
+        // replays the same trace, so a policy or select axis compares
+        // algorithms on one workload instead of one workload each.
+        req.workload_seed = req.seed;
+        req.time_budget_ms = plan.time_budget_ms;
+        req.validate = plan.validate;
+        req.tag = cell.scenario_label + " / " + cell.algorithm_label + " #" +
+                  std::to_string(rep);
+        requests.push_back(std::move(req));
       }
+  std::vector<SolveResult> solve_results =
+      solve_batch(requests, options.batch);
 
-  append_axis_keys(scenario_axes, ex.scenario_axis_keys);
-  for (const AlgorithmSpec& algo : algorithms)
-    append_axis_keys(algo.axes, ex.algorithm_axis_keys);
-  return ex;
-}
-
-void redact_timing(RunRecord& record) {
-  record.wall_ms = 0.0;
-  for (auto& [key, value] : record.stats)
-    if (key.find("wall_ms") != std::string::npos) value = 0.0;
-}
-
-SweepResult assemble_sweep_result(const ExpandedSweep& expanded,
-                                  std::vector<RunRecord> records,
-                                  bool deterministic) {
-  const std::size_t S = expanded.num_scenario_cells();
-  const std::size_t A = expanded.num_algorithm_cells();
-  const auto R = static_cast<std::size_t>(expanded.replicates);
-  if (records.size() != expanded.num_requests)
-    throw std::invalid_argument(
-        "assemble_sweep_result: " + std::to_string(records.size()) +
-        " records for " + std::to_string(expanded.num_requests) +
-        " requests");
-  if (deterministic)
-    for (RunRecord& record : records) redact_timing(record);
-
-  SweepResult result;
-  result.num_scenario_cells = S;
-  result.num_algorithm_cells = A;
-  result.replicates = expanded.replicates;
-  result.scenario_axis_keys = expanded.scenario_axis_keys;
-  result.algorithm_axis_keys = expanded.algorithm_axis_keys;
-  result.cells.resize(S * A);
+  // --- Fold the results into the cells, in request order -------------------
+  std::size_t next = 0;
   for (std::size_t sc = 0; sc < S; ++sc)
-    for (std::size_t ac = 0; ac < A; ++ac) {
-      SweepCell& cell = result.cells[sc * A + ac];
-      cell.scenario_cell = sc;
-      cell.algorithm_cell = ac;
-      cell.scenario = expanded.scenario_cells[sc].spec;
-      cell.algorithm = expanded.algorithm_cells[ac].spec;
-      cell.scenario_label = expanded.scenario_cells[sc].label;
-      cell.algorithm_label = expanded.algorithm_cells[ac].label;
-      if (!expanded.included(sc, ac)) {
-        cell.skipped = true;
-        continue;
-      }
-      cell.runs.reserve(R);
-      for (std::size_t rep = 0; rep < R; ++rep) {
-        RunRecord rec = std::move(records[expanded.request_index(sc, rep, ac)]);
+    for (std::size_t rep = 0; rep < R; ++rep)
+      for (std::size_t ac = 0; ac < A; ++ac) {
+        SweepCell& cell = result.cells[sc * A + ac];
+        if (cell.skipped) continue;
+        RunRecord rec = to_run_record(std::move(solve_results[next++]),
+                                      options.keep_assignments);
         if (rec.ok) {
           ++cell.ok_count;
           cell.objective.add(rec.objective);
@@ -288,45 +275,6 @@ SweepResult assemble_sweep_result(const ExpandedSweep& expanded,
         if (rec.timed_out) ++cell.timed_out_count;
         cell.runs.push_back(std::move(rec));
       }
-    }
-  return result;
-}
-
-SweepResult run_sweep(const SweepPlan& plan, const SweepOptions& options) {
-  const ExpandedSweep ex = plan.expand(options.strict);
-  const ScenarioRegistry& scenarios = ScenarioRegistry::global();
-  const std::size_t S = ex.num_scenario_cells();
-  const std::size_t A = ex.num_algorithm_cells();
-  const auto R = static_cast<std::size_t>(ex.replicates);
-
-  // --- Build the instances (replicate r: scenario seed + r) ----------------
-  std::vector<model::Instance> instances;
-  instances.reserve(S * R);
-  for (std::size_t sc = 0; sc < S; ++sc)
-    for (std::size_t rep = 0; rep < R; ++rep)
-      instances.push_back(scenarios.build(ex.replicate_spec(sc, rep),
-                                          /*strict=*/true));
-
-  // --- Expand and run the requests -----------------------------------------
-  std::vector<SolveRequest> requests(ex.num_requests);
-  for (std::size_t sc = 0; sc < S; ++sc)
-    for (std::size_t rep = 0; rep < R; ++rep)
-      for (std::size_t ac = 0; ac < A; ++ac) {
-        const std::size_t index = ex.request_index(sc, rep, ac);
-        if (index == ExpandedSweep::kSkippedSlot) continue;
-        requests[index] = ex.make_request(sc, rep, ac);
-        requests[index].instance = &instances[sc * R + rep];
-      }
-  std::vector<SolveResult> solve_results =
-      solve_batch(requests, options.batch);
-
-  std::vector<RunRecord> records;
-  records.reserve(solve_results.size());
-  for (SolveResult& r : solve_results)
-    records.push_back(
-        to_run_record(std::move(r), options.keep_assignments));
-  SweepResult result = assemble_sweep_result(ex, std::move(records),
-                                             options.deterministic);
   // Retained assignments reference the instances they were solved on, so
   // keep_assignments must keep the instances alive too — otherwise every
   // kept Assignment would dangle the moment `instances` goes out of scope.

@@ -62,8 +62,6 @@ struct AlgorithmSpec {
   std::vector<std::string> only;
 };
 
-struct ExpandedSweep;
-
 struct SweepPlan {
   // Base workloads; every base is crossed with every scenario axis.
   std::vector<ScenarioSpec> scenarios;
@@ -76,71 +74,6 @@ struct SweepPlan {
   // Forwarded to every SolveRequest.
   double time_budget_ms = 0.0;
   bool validate = true;
-
-  // Expands the plan grid without building instances or solving: the
-  // resolved scenario/algorithm cells, the algo-only inclusion mask, and
-  // the global request-index table the BatchRunner seed derivation keys
-  // on. run_sweep() and the distributed scheduler (dist/scheduler.h) are
-  // both consumers, so a cell executed on a remote worker reproduces the
-  // single-process solve bit-for-bit. Throws std::invalid_argument on
-  // plan errors (unknown scenario, undeclared param, empty grid); with
-  // strict = true, algorithm options are validated too.
-  [[nodiscard]] ExpandedSweep expand(bool strict = false) const;
-};
-
-// The fully expanded grid of a SweepPlan. Request indices are assigned in
-// the fixed order scenario-cell -> replicate -> algorithm-cell (skipped
-// grid points get none), which is what BatchRunner's per-index seed
-// derivation — and therefore every solve result — depends on.
-struct ExpandedSweep {
-  struct ScenarioCell {
-    ScenarioSpec spec;  // resolved: defaults + axis values folded in
-    std::string label;
-  };
-  struct AlgorithmCell {
-    AlgorithmSpec spec;  // options include axis values
-    std::string label;
-  };
-
-  static constexpr std::size_t kSkippedSlot = static_cast<std::size_t>(-1);
-
-  std::vector<ScenarioCell> scenario_cells;
-  std::vector<AlgorithmCell> algorithm_cells;
-  // include[sc * A + ac]: does algorithm cell ac run on scenario cell sc?
-  std::vector<char> include;
-  // slot[(sc * R + rep) * A + ac] -> global request index, or
-  // kSkippedSlot for grid points an algo-only restriction excluded.
-  std::vector<std::size_t> slot;
-  std::size_t num_requests = 0;
-  int replicates = 1;
-  double time_budget_ms = 0.0;
-  bool validate = true;
-  std::vector<std::string> scenario_axis_keys;
-  std::vector<std::string> algorithm_axis_keys;
-
-  [[nodiscard]] std::size_t num_scenario_cells() const {
-    return scenario_cells.size();
-  }
-  [[nodiscard]] std::size_t num_algorithm_cells() const {
-    return algorithm_cells.size();
-  }
-  [[nodiscard]] bool included(std::size_t sc, std::size_t ac) const {
-    return include[sc * algorithm_cells.size() + ac] != 0;
-  }
-  [[nodiscard]] std::size_t request_index(std::size_t sc, std::size_t rep,
-                                          std::size_t ac) const {
-    return slot[(sc * static_cast<std::size_t>(replicates) + rep) *
-                    algorithm_cells.size() +
-                ac];
-  }
-  // The spec replicate `rep` of scenario cell `sc` is built with
-  // (base seed + rep); equal specs build identical instances anywhere.
-  [[nodiscard]] ScenarioSpec replicate_spec(std::size_t sc,
-                                            std::size_t rep) const;
-  // The SolveRequest run_sweep() would issue for this grid point, minus
-  // the instance pointer (the caller owns instance construction).
-  [[nodiscard]] SolveRequest make_request(std::size_t sc, std::size_t rep,
-                                          std::size_t ac) const;
 };
 
 // One solve of a cell, with everything benches read off a SolveResult
@@ -236,12 +169,6 @@ struct SweepOptions {
   // does not declare. Off by default because a shared axis may apply to
   // only some algorithms of the plan. Scenario params are always strict.
   bool strict = false;
-  // Zero every wall-clock field (per-run wall_ms, timing-derived stats
-  // such as the serve adapter's repair_wall_ms) before aggregation, so
-  // the emitted CSV/JSON is a pure function of the plan: two runs — or a
-  // single-process run and a distributed one — produce byte-identical
-  // artifacts. Objectives, seeds and iteration counters are untouched.
-  bool deterministic = false;
 };
 
 // Expands and runs the plan. Throws std::invalid_argument on plan errors
@@ -249,26 +176,6 @@ struct SweepOptions {
 // solver failures are recorded in the cells, not thrown.
 [[nodiscard]] SweepResult run_sweep(const SweepPlan& plan,
                                     const SweepOptions& options = {});
-
-// Zeroes the record's wall-clock fields (wall_ms and any stats key
-// containing "wall_ms"): the SweepOptions::deterministic scrub.
-void redact_timing(RunRecord& record);
-
-// The SolveResult -> RunRecord projection run_sweep() applies to every
-// solve. Exported so the distributed worker (dist/worker.h) records a
-// cell exactly the way the single-process sweep would.
-[[nodiscard]] RunRecord to_run_record(SolveResult&& result,
-                                      bool keep_assignment = false);
-
-// Folds request-indexed run records into the grid: cells, aggregates and
-// axis keys, exactly as run_sweep() builds them. `records` must have
-// ExpandedSweep::num_requests entries; with deterministic = true every
-// record is redact_timing()-scrubbed first. run_sweep() and the
-// distributed scheduler share this path, which is what makes their
-// CSV/JSON artifacts byte-identical.
-[[nodiscard]] SweepResult assemble_sweep_result(const ExpandedSweep& expanded,
-                                                std::vector<RunRecord> records,
-                                                bool deterministic = false);
 
 // Cell-level aggregate table: one row per cell with the scenario/
 // algorithm labels, axis values, and the aggregate statistics. The same

@@ -16,6 +16,11 @@ std::vector<double> budgets_of(const Instance& catalog) {
   return {catalog.budgets().begin(), catalog.budgets().end()};
 }
 
+engine::SessionOptions opened_empty(engine::SessionOptions opts) {
+  opts.open_empty = true;
+  return opts;
+}
+
 std::vector<std::vector<double>> caps_of(const Instance& catalog) {
   std::vector<std::vector<double>> caps(catalog.num_users());
   for (std::size_t u = 0; u < catalog.num_users(); ++u) {
@@ -31,11 +36,10 @@ std::vector<std::vector<double>> caps_of(const Instance& catalog) {
 
 // --- SessionPolicy ----------------------------------------------------------
 
-SessionPolicy::SessionPolicy(const Instance& catalog, engine::ServeConfig cfg)
-    : refcount_(catalog.num_streams(), 0) {
-  cfg.open_empty = true;
-  backend_ = engine::make_backend(catalog, cfg);
-}
+SessionPolicy::SessionPolicy(const Instance& catalog,
+                             engine::SessionOptions opts)
+    : session_(catalog, opened_empty(opts)),
+      refcount_(catalog.num_streams(), 0) {}
 
 std::vector<std::size_t> SessionPolicy::on_arrival(const StreamOffer& offer) {
   const model::StreamId s = offer.stream;
@@ -43,9 +47,9 @@ std::vector<std::size_t> SessionPolicy::on_arrival(const StreamOffer& offer) {
     model::InstanceEvent event;
     event.type = model::EventType::kStreamAdd;
     event.stream = s;
-    backend_->apply(event);
+    session_.apply(event);
   }
-  const model::Assignment& a = backend_->assignment();
+  const model::Assignment& a = session_.assignment();
   std::vector<std::size_t> taken;
   for (std::size_t idx = 0; idx < offer.candidates.size(); ++idx)
     if (a.has(offer.candidates[idx].user, s)) taken.push_back(idx);
@@ -59,7 +63,7 @@ void SessionPolicy::on_departure(const StreamOffer& offer,
     model::InstanceEvent event;
     event.type = model::EventType::kStreamRemove;
     event.stream = s;
-    backend_->apply(event);
+    session_.apply(event);
   }
 }
 

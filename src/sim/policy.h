@@ -5,12 +5,11 @@
 // what, never revoking past decisions.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/allocate_online.h"
-#include "engine/serving.h"
+#include "engine/session.h"
 #include "model/instance.h"
 
 namespace vdist::sim {
@@ -53,38 +52,34 @@ class OnlineAllocatePolicy final : public AdmissionPolicy {
   core::ExponentialCostAllocator allocator_;
 };
 
-// The serving backend as an admission policy: the simulator becomes a
-// thin client of engine::ServingBackend (engine/serving.h). The backend
-// opens empty over the catalog (every stream tombstoned); an arriving
-// stream session becomes a kStreamAdd event, the last departure of a
-// stream a kStreamRemove, and the decision for an offer is whatever user
-// set the backend's maintained assignment gives that stream right after
-// the repair. Concurrent sessions of the same catalog stream share one
-// decision (the backend models the stream's presence, not its
+// The serving session as an admission policy: the simulator becomes a
+// thin client of engine::Session (engine/session.h). The session opens
+// empty over the catalog (every stream tombstoned); an arriving stream
+// session becomes a kStreamAdd event, the last departure of a stream a
+// kStreamRemove, and the decision for an offer is whatever user set the
+// session's maintained assignment gives that stream right after the
+// repair. Concurrent sessions of the same catalog stream share one
+// decision (the session models the stream's presence, not its
 // multiplicity), and — as the AdmissionPolicy contract requires — a
 // decision handed to the plant is never revised mid-session even if
 // later repairs reassign internally. Requires a unit-skew cap-form
-// catalog (the backend's form). cfg.shards > 1 serves through the
-// sharded engine — a pure config flip.
+// catalog (the session's form).
 class SessionPolicy final : public AdmissionPolicy {
  public:
-  // `cfg.open_empty` is forced on; every other knob (policy, bound,
-  // refresh, select, shards, queue, workspace) passes through
-  // engine::make_backend().
+  // `opts.open_empty` is forced on; every other knob (policy, bound,
+  // refresh, select, workspace) passes through to the engine::Session.
   explicit SessionPolicy(const model::Instance& catalog,
-                         engine::ServeConfig cfg = {});
+                         engine::SessionOptions opts = {});
   [[nodiscard]] std::string name() const override {
-    return std::string("session-") + engine::to_string(backend_->policy());
+    return std::string("session-") + engine::to_string(session_.policy());
   }
   std::vector<std::size_t> on_arrival(const StreamOffer& offer) override;
   void on_departure(const StreamOffer& offer,
                     const std::vector<std::size_t>& taken) override;
-  [[nodiscard]] const engine::ServingBackend& backend() const {
-    return *backend_;
-  }
+  [[nodiscard]] const engine::Session& session() const { return session_; }
 
  private:
-  std::unique_ptr<engine::ServingBackend> backend_;
+  engine::Session session_;
   std::vector<int> refcount_;  // concurrent plant sessions per stream
 };
 

@@ -243,37 +243,17 @@ if(NOT cli_err MATCHES "repair|resolve|online")
   message(FATAL_ERROR "bad --policy value not rejected:\n${cli_err}")
 endif()
 
-# --- sharded serving: --shards is a pure config flip -------------------------
-# Replaying one trace under resolve with 1 and 4 shards must report the
-# bit-identical end-state objective (the ShardedSession parity contract,
-# checked per event by --check 1 on the sharded run too).
-run_cli(0 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
-        --policy resolve --shards 1 --json "${WORK_DIR}/serve-s1.json")
-run_cli(0 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
-        --policy resolve --shards 4 --check 1 --json "${WORK_DIR}/serve-s4.json")
-file(READ "${WORK_DIR}/serve-s1.json" serve_s1)
-file(READ "${WORK_DIR}/serve-s4.json" serve_s4)
-if(NOT serve_s4 MATCHES "\"shards\":4")
-  message(FATAL_ERROR "sharded serve JSON missing shard count:\n${serve_s4}")
-endif()
-string(REGEX MATCH "\"objective\":[^,]*" obj_s1 "${serve_s1}")
-string(REGEX MATCH "\"objective\":[^,]*" obj_s4 "${serve_s4}")
-if(NOT obj_s1 STREQUAL obj_s4 OR obj_s1 STREQUAL "")
-  message(FATAL_ERROR
-    "sharded serve objective diverged: '${obj_s1}' vs '${obj_s4}'")
-endif()
-# ServeConfig validation reaches the CLI: out-of-range shard counts and
-# the online-policy restriction (Section 5's allocator is sequential) are
-# rejected before any event is applied.
+# ServeConfig validation reaches the CLI: a bad value is rejected before
+# any event is applied, and undeclared keys are typos.
 run_cli(1 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
-        --shards 0)
-if(NOT cli_err MATCHES "shards")
-  message(FATAL_ERROR "bad --shards value not rejected:\n${cli_err}")
+        --bound -1)
+if(NOT cli_err MATCHES "--bound")
+  message(FATAL_ERROR "bad --bound value not rejected:\n${cli_err}")
 endif()
 run_cli(1 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
-        --policy online --shards 2)
-if(NOT cli_err MATCHES "online")
-  message(FATAL_ERROR "online+shards not rejected:\n${cli_err}")
+        --queue 8)
+if(NOT cli_err MATCHES "--queue")
+  message(FATAL_ERROR "undeclared serve flag not rejected:\n${cli_err}")
 endif()
 
 # --- gen-events declared params: every knob is a flag ------------------------
@@ -303,47 +283,6 @@ endif()
 run_cli(1 perf --smoke 1 --reps 1 --filter no-such-case)
 if(NOT cli_err MATCHES "no-such-case")
   message(FATAL_ERROR "unmatched perf --filter not rejected:\n${cli_err}")
-endif()
-
-# --- distributed sweep: cache round-trip and --list-cells dry run ------------
-# Worker-less --cache runs exercise the content-addressed cache without a
-# network: the first run executes every cell, the second recalls all of
-# them, and the deterministic CSVs are byte-identical.
-set(cache_dir "${WORK_DIR}/cell-cache")
-file(REMOVE_RECURSE "${cache_dir}")
-run_cli(0 sweep --scenario cap --set users=5 --axis streams=8,12
-        --algos greedy,pipeline --replicates 2 --deterministic 1
-        --cache "${cache_dir}" --csv "${WORK_DIR}/dist1.csv")
-if(NOT cli_err MATCHES "dist: cells=4 cached=0 executed=4")
-  message(FATAL_ERROR "first cached sweep did not execute all cells:\n${cli_err}")
-endif()
-run_cli(0 sweep --scenario cap --set users=5 --axis streams=8,12
-        --algos greedy,pipeline --replicates 2 --deterministic 1
-        --cache "${cache_dir}" --csv "${WORK_DIR}/dist2.csv")
-if(NOT cli_err MATCHES "dist: cells=4 cached=4 executed=0")
-  message(FATAL_ERROR "second cached sweep re-executed cells:\n${cli_err}")
-endif()
-file(READ "${WORK_DIR}/dist1.csv" dist1_csv)
-file(READ "${WORK_DIR}/dist2.csv" dist2_csv)
-if(NOT dist1_csv STREQUAL dist2_csv)
-  message(FATAL_ERROR "cached sweep CSV differs from the executed one")
-endif()
-# The dry run prints one keyed row per cell, all cached by now.
-run_cli(0 sweep --scenario cap --set users=5 --axis streams=8,12
-        --algos greedy,pipeline --replicates 2 --deterministic 1
-        --cache "${cache_dir}" --list-cells 1)
-if(NOT cli_out MATCHES "list-cells: 4 cells, 4 cached")
-  message(FATAL_ERROR "--list-cells missed cached cells:\n${cli_out}")
-endif()
-if(cli_out MATCHES "miss")
-  message(FATAL_ERROR "--list-cells reported misses on a full cache:\n${cli_out}")
-endif()
-# A malformed workers file is rejected with its line number.
-file(WRITE "${WORK_DIR}/bad-workers.txt" "localhost notaport\n")
-run_cli(1 sweep --scenario cap --algos greedy
-        --workers "${WORK_DIR}/bad-workers.txt")
-if(NOT cli_err MATCHES "workers file line 1")
-  message(FATAL_ERROR "bad workers file not rejected:\n${cli_err}")
 endif()
 
 # --- adversarial workload families: gen-events --family ----------------------

@@ -4,8 +4,6 @@
 //     workload family;
 //   * the repair policy stays within its declared drift bound at every
 //     aligned checkpoint;
-//   * sharded resolve (shards 4) reproduces the single-shard checkpoint
-//     vector bit-identically on flash-crowd traces;
 //   * aggregates, emitters, and the exact-reference sanity bound hold.
 #include "engine/competitive.h"
 
@@ -90,18 +88,44 @@ TEST(Competitive, RepairStaysWithinDeclaredBoundAtEveryCheckpoint) {
   }
 }
 
-// The sharded engine behind the same harness: resolve checkpoints are
-// bit-identical for every shard count (the ServingBackend parity
-// contract, measured through ratios here).
-TEST(Competitive, ShardedResolveReproducesSingleShardCheckpoints) {
+// Replaying one trace twice through the harness reproduces every
+// checkpoint bit-for-bit: the session and the offline reference are both
+// deterministic functions of (instance, trace, options).
+TEST(Competitive, ResolveCheckpointsAreDeterministicAcrossRuns) {
   const Instance inst = base_instance(12, 36, 14);
   const auto trace = family_trace("flash-crowd", inst, 100, 23);
+  CompetitiveOptions opts;
+  opts.serve.policy = ServePolicy::kResolve;
+  opts.every = 20;
+  const CompetitiveReport a = run_competitive(inst, trace, opts);
+  const CompetitiveReport b = run_competitive(inst, trace, opts);
+  ASSERT_EQ(a.checkpoints.size(), b.checkpoints.size());
+  for (std::size_t i = 0; i < a.checkpoints.size(); ++i) {
+    EXPECT_EQ(a.checkpoints[i].event, b.checkpoints[i].event) << i;
+    EXPECT_EQ(a.checkpoints[i].online_objective,
+              b.checkpoints[i].online_objective)
+        << i;
+    EXPECT_EQ(a.checkpoints[i].offline_objective,
+              b.checkpoints[i].offline_objective)
+        << i;
+    EXPECT_EQ(b.checkpoints[i].ratio, 1.0) << i;
+  }
+  EXPECT_EQ(a.counters.events, trace.size());
+  EXPECT_EQ(a.counters.full_resolves, b.counters.full_resolves);
+}
+
+// The select kernels are interchangeable under the harness: the naive
+// scan reproduces the delta-heap session's checkpoints exactly.
+TEST(Competitive, NaiveSelectReproducesDeltaHeapCheckpoints) {
+  const Instance inst = base_instance(14, 30, 12);
+  const auto trace = family_trace("zipf-drift", inst, 60, 29);
   std::vector<CompetitiveReport> reports;
-  for (const int shards : {1, 4}) {
+  for (const core::SelectStrategy strategy :
+       {core::SelectStrategy::kDeltaHeap, core::SelectStrategy::kNaiveScan}) {
     CompetitiveOptions opts;
-    opts.serve.policy = ServePolicy::kResolve;
-    opts.serve.shards = shards;
-    opts.every = 20;
+    opts.serve.policy = ServePolicy::kRepair;
+    opts.serve.strategy = strategy;
+    opts.every = 15;
     reports.push_back(run_competitive(inst, trace, opts));
   }
   ASSERT_EQ(reports[0].checkpoints.size(), reports[1].checkpoints.size());
@@ -112,9 +136,8 @@ TEST(Competitive, ShardedResolveReproducesSingleShardCheckpoints) {
     EXPECT_EQ(reports[0].checkpoints[i].offline_objective,
               reports[1].checkpoints[i].offline_objective)
         << i;
-    EXPECT_EQ(reports[1].checkpoints[i].ratio, 1.0) << i;
   }
-  EXPECT_EQ(reports[1].shards, 4);
+  EXPECT_EQ(reports[0].final_ratio, reports[1].final_ratio);
 }
 
 // Against the exact reference the greedy-maintained resolve policy can

@@ -85,7 +85,6 @@ TEST_P(CapRatioTest, AugmentedGreedyWithinCorollary27Bound) {
 
 TEST_P(CapRatioTest, PartialEnumAtLeastAsGoodAsGreedy) {
   const RatioCase& rc = GetParam();
-  if (rc.streams > 12) GTEST_SKIP() << "partial enum O(S^3) guard";
   gen::RandomCapConfig cfg;
   cfg.num_streams = rc.streams;
   cfg.num_users = rc.users;

@@ -210,6 +210,40 @@ TEST(EventTrace, DeterministicAndParitySafe) {
   }
 }
 
+TEST(EventTrace, ParamsRoundTrip) {
+  EXPECT_EQ(gen::event_trace_params().size(), 12u);
+  gen::EventTraceConfig cfg;
+  // The canonical line reproduces the defaults.
+  const std::string defaults = gen::event_trace_param_line(cfg);
+  for (const gen::EventParamSpec& spec : gen::event_trace_params())
+    EXPECT_NE(defaults.find(std::string(spec.key) + "="), std::string::npos)
+        << spec.key;
+
+  gen::apply_event_trace_overrides(
+      cfg, "events=42,seed=5,w-user-leave=3,cap-scale-min=0.5");
+  EXPECT_EQ(cfg.num_events, 42u);
+  EXPECT_EQ(cfg.seed, 5u);
+  EXPECT_EQ(cfg.w_user_leave, 3.0);
+  EXPECT_EQ(cfg.cap_scale_min, 0.5);
+  const std::string line = gen::event_trace_param_line(cfg);
+  EXPECT_NE(line.find("events=42"), std::string::npos);
+  EXPECT_NE(line.find("w-user-leave=3"), std::string::npos);
+  // Feeding the line back reproduces the config (the reproduction
+  // handle a BENCH report or plan cell carries).
+  gen::EventTraceConfig replay;
+  gen::apply_event_trace_overrides(replay, line);
+  EXPECT_EQ(gen::event_trace_param_line(replay), line);
+
+  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "bogus=1"),
+               std::invalid_argument);
+  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "events=-3"),
+               std::invalid_argument);
+  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "w-utility=abc"),
+               std::invalid_argument);
+  EXPECT_THROW(gen::apply_event_trace_overrides(cfg, "events"),
+               std::invalid_argument);
+}
+
 TEST(EventIo, RoundTripsEveryEventKind) {
   std::vector<InstanceEvent> events(6);
   events[0].type = EventType::kUserLeave;

@@ -111,8 +111,8 @@ TEST(Session, RepairStaysWithinQualityBoundAtEveryPrefix) {
     const auto trace = churn_trace(inst, 120, seed + 7);
     SessionOptions opts;
     opts.policy = ServePolicy::kRepair;
-    opts.quality_bound = 0.05;
-    opts.refresh_interval = 1;  // check (and self-correct) every event
+    opts.bound = 0.05;
+    opts.refresh = 1;  // check (and self-correct) every event
     Session session(inst, opts);
     for (const InstanceEvent& event : trace) {
       session.apply(event);
@@ -120,7 +120,7 @@ TEST(Session, RepairStaysWithinQualityBoundAtEveryPrefix) {
       const core::SmdSolveResult fresh = core::solve_unit_skew(snap);
       const double drift = (fresh.utility - session.objective()) /
                            std::max(fresh.utility, 1.0);
-      ASSERT_LE(drift, opts.quality_bound + 1e-9)
+      ASSERT_LE(drift, opts.bound + 1e-9)
           << "seed " << seed << " after " << session.counters().events
           << " events";
     }
@@ -154,7 +154,7 @@ TEST(Session, RepairStatsReportWhatHappened) {
       {{0, 0, 4.0}, {1, 0, 5.0}, {0, 1, 6.0}, {1, 2, 7.0}});
   SessionOptions opts;
   opts.policy = ServePolicy::kRepair;
-  opts.refresh_interval = 0;  // isolate the local path
+  opts.refresh = 0;  // isolate the local path
   Session session(inst, opts);
   const double opening = session.objective();
   EXPECT_GT(opening, 0.0);
@@ -219,7 +219,7 @@ TEST(Session, AppendEventsRepairStaysBounded) {
   const Instance inst = churn_base(29, 20, 8);
   SessionOptions opts;
   opts.policy = ServePolicy::kRepair;
-  opts.refresh_interval = 1;
+  opts.refresh = 1;
   Session session(inst, opts);
   InstanceEvent join;
   join.type = EventType::kUserJoin;
@@ -231,7 +231,7 @@ TEST(Session, AppendEventsRepairStaysBounded) {
   const core::SmdSolveResult fresh = core::solve_unit_skew(snap);
   EXPECT_LE((fresh.utility - session.objective()) /
                 std::max(fresh.utility, 1.0),
-            opts.quality_bound + 1e-9);
+            opts.bound + 1e-9);
 }
 
 TEST(Session, OnlinePolicyServesAndReleases) {
@@ -317,6 +317,39 @@ TEST(Session, InvalidEventIdsThrowAndLeaveStateIntact) {
     EXPECT_EQ(session.counters().events, 0u);
     EXPECT_EQ(session.objective(), before);
   }
+}
+
+// --- ServeConfig ------------------------------------------------------------
+
+TEST(ServeConfig, ValidatesEveryDeclaredOption) {
+  EXPECT_EQ(ServeConfig::declared().size(), 10u);
+  // Defaults round-trip through from_options.
+  const ServeConfig defaults = ServeConfig::from_options({});
+  EXPECT_EQ(defaults.policy, ServePolicy::kRepair);
+  EXPECT_EQ(defaults.bound, 0.05);
+  EXPECT_EQ(defaults.refresh, 64);
+  EXPECT_EQ(defaults.events, 200u);
+  EXPECT_EQ(defaults.family, "churn");
+
+  const auto from = [](const std::string& key, const std::string& value) {
+    SolveOptions opts;
+    opts.set(key, value);
+    return ServeConfig::from_options(opts);
+  };
+  EXPECT_EQ(from("refresh", "8").refresh, 8);
+  EXPECT_EQ(from("mode", "augmented").mode, core::SmdMode::kAugmented);
+  EXPECT_EQ(from("select", "naive").strategy,
+            core::SelectStrategy::kNaiveScan);
+  EXPECT_THROW(from("bound", "-0.1"), std::invalid_argument);
+  EXPECT_THROW(from("policy", "rapair"), std::invalid_argument);
+  EXPECT_THROW(from("mode", "semi"), std::invalid_argument);
+  EXPECT_THROW(from("events", "-1"), std::invalid_argument);
+
+  // The parsed config is the session's options: a Session opens on it
+  // directly and reports the configured policy.
+  const Instance inst = churn_base(79, 20, 8);
+  const Session session(inst, from("policy", "resolve"));
+  EXPECT_EQ(session.policy(), ServePolicy::kResolve);
 }
 
 // --- registry integration ---------------------------------------------------

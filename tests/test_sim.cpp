@@ -40,15 +40,15 @@ TEST(Engine, SessionPolicyDrivesTheSimulator) {
   const auto trace = small_trace(catalog, 8);
   for (const engine::ServePolicy policy :
        {engine::ServePolicy::kRepair, engine::ServePolicy::kResolve}) {
-    engine::ServeConfig scfg;
-    scfg.policy = policy;
-    SessionPolicy session_policy(catalog, scfg);
+    engine::SessionOptions opts;
+    opts.policy = policy;
+    SessionPolicy session_policy(catalog, opts);
     const SimResult r = run_simulation(catalog, trace, session_policy);
     EXPECT_EQ(r.totals.sessions, trace.size());
     EXPECT_GT(r.totals.accepted, 0u);
     EXPECT_GT(r.totals.utility_time, 0.0);
-    // The underlying backend saw stream lifecycle events.
-    EXPECT_GT(session_policy.backend().counters().events, 0u);
+    // The underlying session saw stream lifecycle events.
+    EXPECT_GT(session_policy.session().counters().events, 0u);
   }
   // Determinism: same catalog + trace + policy config => same totals.
   SessionPolicy a(catalog), b(catalog);
@@ -56,22 +56,43 @@ TEST(Engine, SessionPolicyDrivesTheSimulator) {
   const SimResult rb = run_simulation(catalog, trace, b);
   EXPECT_EQ(ra.totals.utility_time, rb.totals.utility_time);
   EXPECT_EQ(ra.totals.accepted, rb.totals.accepted);
-  // The sharded backend drives the simulator through the same seam and,
-  // under kResolve, lands on the same totals bit-for-bit.
-  engine::ServeConfig sharded;
-  sharded.policy = engine::ServePolicy::kResolve;
-  engine::ServeConfig single = sharded;
-  sharded.shards = 3;
-  SessionPolicy sp(catalog, sharded), sq(catalog, single);
+  // Under kResolve too, two runs land on the same totals bit-for-bit.
+  engine::SessionOptions resolve;
+  resolve.policy = engine::ServePolicy::kResolve;
+  SessionPolicy sp(catalog, resolve), sq(catalog, resolve);
   const SimResult rs = run_simulation(catalog, trace, sp);
   const SimResult rq = run_simulation(catalog, trace, sq);
-  EXPECT_EQ(sp.backend().num_shards(), 3);
   EXPECT_EQ(rs.totals.utility_time, rq.totals.utility_time);
   EXPECT_EQ(rs.totals.accepted, rq.totals.accepted);
   // Requires the session's cap form.
   const auto mmd = small_workload().instance;
   if (!mmd.is_unit_skew())
     EXPECT_THROW(SessionPolicy{mmd}, std::invalid_argument);
+}
+
+TEST(Engine, SessionPolicyIsNamedByItsPolicyAndDecidesEverySession) {
+  gen::RandomCapConfig cfg;
+  cfg.num_streams = 25;
+  cfg.num_users = 12;
+  cfg.seed = 6;
+  const model::Instance catalog = gen::random_cap_instance(cfg);
+  const auto trace = small_trace(catalog, 12);
+  for (const engine::ServePolicy policy :
+       {engine::ServePolicy::kRepair, engine::ServePolicy::kResolve,
+        engine::ServePolicy::kOnline}) {
+    engine::SessionOptions opts;
+    opts.policy = policy;
+    SessionPolicy session_policy(catalog, opts);
+    EXPECT_EQ(session_policy.name(),
+              std::string("session-") + engine::to_string(policy));
+    EXPECT_EQ(session_policy.session().policy(), policy);
+    const SimResult r = run_simulation(catalog, trace, session_policy);
+    // Every arrival is either carried or turned away.
+    EXPECT_EQ(r.totals.sessions, trace.size());
+    EXPECT_EQ(r.totals.accepted + r.totals.rejected, r.totals.sessions)
+        << engine::to_string(policy);
+    EXPECT_GT(r.totals.accepted, 0u) << engine::to_string(policy);
+  }
 }
 
 TEST(Engine, TotalsAreConsistent) {

@@ -6,7 +6,11 @@
 //   vdist_cli algos
 //   vdist_cli stats F
 //   vdist_cli solve F --algo NAME [algorithm options]
+//   vdist_cli gen-events F [--family NAME] [family params] [--out F]
+//   vdist_cli serve F --events EVENTS [serve options] [--check N]
+//   vdist_cli compete F --events EVENTS [serve options] [--offline ALGO]
 //   vdist_cli sweep --plan FILE | [sweep flags]   [--csv F] [--json F]
+//   vdist_cli perf [--smoke 1] [--baseline FILE]
 //   vdist_cli eval F --assignment FILE
 //
 // Workloads dispatch through the engine::ScenarioRegistry and algorithms
@@ -27,8 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/scheduler.h"
-#include "dist/worker.h"
 #include "engine/competitive.h"
 #include "engine/perf.h"
 #include "engine/registry.h"
@@ -244,10 +246,8 @@ int cmd_sweep(const Args& args) {
   // silently discarded when --plan already defines the structure.
   {
     const std::vector<std::string> common = {
-        "plan",          "replicates", "seed",    "budget-ms",
-        "threads",       "csv",        "json",    "strict",
-        "workers",       "cache",      "list-cells", "deterministic",
-        "shutdown-workers", "verbose"};
+        "plan", "replicates", "seed", "budget-ms",
+        "threads", "csv", "json", "strict"};
     const std::vector<std::string> structure = {"scenario", "set", "axis",
                                                 "algos", "algo-axis"};
     for (const auto& [key, value] : args.options) {
@@ -319,51 +319,7 @@ int cmd_sweep(const Args& args) {
   options.batch.num_threads =
       static_cast<unsigned>(opt_u(args, "threads", 0));
   options.strict = opt(args, "strict", "0") == "1";
-  options.deterministic = opt(args, "deterministic", "0") == "1";
-
-  const std::string workers_path = opt(args, "workers", "");
-  const std::string cache_dir = opt(args, "cache", "");
-
-  // Dry run: expand the grid and key every cell without solving.
-  if (opt(args, "list-cells", "0") == "1") {
-    const std::vector<dist::CellStatus> rows =
-        dist::list_cells(plan, options, cache_dir);
-    std::size_t cached = 0;
-    for (const dist::CellStatus& row : rows) {
-      std::cout << (cache_dir.empty() ? "  -   "
-                    : row.cached       ? "cached"
-                                       : "miss  ")
-                << "  " << row.key << "  " << row.scenario_label << " / "
-                << row.algorithm_label << "\n";
-      if (row.cached) ++cached;
-    }
-    std::cout << "list-cells: " << rows.size() << " cells";
-    if (!cache_dir.empty())
-      std::cout << ", " << cached << " cached in " << cache_dir;
-    std::cout << "\n";
-    return 0;
-  }
-
-  engine::SweepResult result;
-  if (!workers_path.empty() || !cache_dir.empty()) {
-    std::vector<dist::WorkerSpec> workers;
-    if (!workers_path.empty())
-      workers = dist::parse_worker_file(workers_path);
-    dist::DistOptions dopt;
-    dopt.cache_dir = cache_dir;
-    dopt.local_threads = options.batch.num_threads;
-    dopt.shutdown_workers = opt(args, "shutdown-workers", "0") == "1";
-    dopt.log = opt(args, "verbose", "0") == "1";
-    dist::DistStats stats;
-    result = dist::run_distributed_sweep(plan, workers, options, dopt,
-                                         &stats);
-    std::cerr << "dist: cells=" << stats.cells << " cached=" << stats.cached
-              << " executed=" << stats.executed
-              << " retried=" << stats.retried
-              << " workers=" << stats.workers << "\n";
-  } else {
-    result = engine::run_sweep(plan, options);
-  }
+  const engine::SweepResult result = engine::run_sweep(plan, options);
 
   const std::string csv_path = opt(args, "csv", "");
   const std::string json_path = opt(args, "json", "");
@@ -395,22 +351,6 @@ int cmd_sweep(const Args& args) {
     return 2;
   }
   return 0;
-}
-
-// A distributed-sweep worker process: listens for a scheduler, solves
-// the cells it is assigned, exits on the scheduler's shutdown message.
-int cmd_worker(const Args& args) {
-  {
-    const std::vector<std::string> known = {"port", "capacity"};
-    for (const auto& [key, value] : args.options)
-      if (std::find(known.begin(), known.end(), key) == known.end())
-        throw std::runtime_error("worker does not take --" + key +
-                                 " (see 'vdist_cli help')");
-  }
-  dist::WorkerOptions options;
-  options.port = static_cast<std::uint16_t>(opt_u(args, "port", 0));
-  options.capacity = static_cast<unsigned>(opt_u(args, "capacity", 0));
-  return dist::run_worker(options);
 }
 
 // Draws a deterministic event trace over an instance and writes it in
@@ -456,12 +396,11 @@ int cmd_gen_events(const Args& args) {
   return 0;
 }
 
-// Replays an event trace through a make_backend() serving backend
-// (engine::Session, or engine::ShardedSession under --shards N) and
-// reports objective-over-time as JSON. --check N compares the backend
-// against a from-scratch solve every N events: the resolve policy must
-// match the fresh objective bit-exactly, the repair policy must stay
-// within --bound; a violation exits 4.
+// Replays an event trace through an engine::Session and reports
+// objective-over-time as JSON. --check N compares the session against a
+// from-scratch solve every N events: the resolve policy must match the
+// fresh objective bit-exactly, the repair policy must stay within
+// --bound; a violation exits 4.
 int cmd_serve(const Args& args) {
   // Flags are ServeConfig's declared keys — minus the registry-only
   // trace-derivation knobs (events here names the event FILE; trace and
@@ -495,7 +434,7 @@ int cmd_serve(const Args& args) {
       raw.set(key, value);
   engine::ServeConfig cfg = engine::ServeConfig::from_options(raw);
   const std::size_t check_every = opt_u(args, "check", 0);
-  // The repair bound is guaranteed at the backend's own drift
+  // The repair bound is guaranteed at the session's own drift
   // checkpoints; align them with the external gate so every checked
   // prefix has had its chance to self-correct. A refresh interval that
   // divides the check interval already lands a self-correction on every
@@ -506,14 +445,13 @@ int cmd_serve(const Args& args) {
       cfg.refresh = check_int;
   }
 
-  const std::unique_ptr<engine::ServingBackend> backend =
-      engine::make_backend(inst, cfg);
+  engine::Session session(inst, cfg);
   std::ostringstream timeline;
   timeline.precision(17);
   bool parity_failed = false;
   std::size_t applied = 0;
   for (const model::InstanceEvent& event : trace) {
-    const engine::RepairStats stats = backend->apply(event);
+    const engine::RepairStats stats = session.apply(event);
     ++applied;
     if (applied > 1) timeline << ',';
     timeline << "{\"event\":" << applied << ",\"objective\":"
@@ -526,9 +464,9 @@ int cmd_serve(const Args& args) {
                            : "online")
              << "\"}";
     // The differential anchor: bake the current world into a standalone
-    // instance and solve it from scratch (ServingBackend::check_parity).
+    // instance and solve it from scratch (Session::check_parity).
     if (check_every > 0 && applied % check_every == 0) {
-      const engine::ParityReport parity = backend->check_parity();
+      const engine::ParityReport parity = session.check_parity();
       if (!parity.ok) {
         parity_failed = true;
         std::cerr << "serve: parity violated after event " << applied
@@ -537,14 +475,14 @@ int cmd_serve(const Args& args) {
       }
     }
   }
-  // Feasibility is judged against the world the backend actually serves:
+  // Feasibility is judged against the world the session actually serves:
   // the assignment's pairs re-accounted on the baked snapshot (caps and
   // utilities as of now, not as of the parent instance).
-  const model::Instance snapshot = backend->snapshot();
+  const model::Instance snapshot = session.snapshot();
   model::Assignment snapshot_assignment(snapshot);
   for (std::size_t u = 0; u < snapshot.num_users(); ++u)
     for (const model::StreamId s :
-         backend->assignment().streams_of(static_cast<model::UserId>(u)))
+         session.assignment().streams_of(static_cast<model::UserId>(u)))
       snapshot_assignment.assign(static_cast<model::UserId>(u), s);
   // The online policy never revokes commitments, so a capacity decrease
   // can legitimately leave user caps exceeded on the current world —
@@ -556,17 +494,16 @@ int cmd_serve(const Args& args) {
                                                  : report.feasible();
   if (check_every > 0 && !feasibility_ok) {
     parity_failed = true;
-    std::cerr << "serve: backend assignment is infeasible\n";
+    std::cerr << "serve: session assignment is infeasible\n";
   }
 
-  const engine::SessionCounters& counters = backend->counters();
+  const engine::SessionCounters& counters = session.counters();
   std::ostringstream doc;
   doc.precision(17);
   doc << "{\"serve\":\"" << engine::to_string(cfg.policy)
-      << "\",\"shards\":" << backend->num_shards()
-      << ",\"events\":" << counters.events
-      << ",\"objective\":" << backend->objective()
-      << ",\"variant\":\"" << backend->variant()
+      << "\",\"events\":" << counters.events
+      << ",\"objective\":" << session.objective()
+      << ",\"variant\":\"" << session.variant()
       << "\",\"local_repairs\":" << counters.local_repairs
       << ",\"full_resolves\":" << counters.full_resolves
       << ",\"drift_checks\":" << counters.drift_checks
@@ -582,22 +519,22 @@ int cmd_serve(const Args& args) {
     std::cerr << "wrote " << json_path << "\n";
   }
   std::cerr << "serve: policy=" << engine::to_string(cfg.policy)
-            << " shards=" << backend->num_shards()
             << " events=" << counters.events
-            << " objective=" << backend->objective()
+            << " objective=" << session.objective()
             << " repairs=" << counters.local_repairs
             << " resolves=" << counters.full_resolves << "\n";
   return parity_failed ? 4 : 0;
 }
 
 // Online-vs-offline competitive-ratio measurement (engine/competitive.h):
-// replays a trace through a serving backend and solves the offline
-// optimum on every checkpoint prefix's materialized snapshot. --min-ratio
-// gates the worst per-prefix ratio (exit 5 on violation) — the CI hook
-// for "the online policies stay within their empirical guarantees on the
-// committed adversarial traces".
+// replays a trace through a serving session and solves an offline
+// reference on every checkpoint prefix's materialized snapshot — by
+// default the mode-matched §2.2 greedy, with --offline exact the proven
+// optimum. --min-ratio gates the worst per-prefix ratio (exit 5 on
+// violation) — the CI hook for "the online policies stay within their
+// empirical guarantees on the committed adversarial traces".
 int cmd_compete(const Args& args) {
-  // Flags are ServeConfig's declared backend keys plus the harness's own
+  // Flags are ServeConfig's declared session keys plus the harness's own
   // surface. The trace comes from --events FILE, or is derived
   // deterministically from --family/--trace/--seed exactly as the serve
   // solver does it.
@@ -694,7 +631,6 @@ int cmd_compete(const Args& args) {
                        report.offline_algorithm);
   std::cerr << "compete: policy=" << report.policy
             << " offline=" << report.offline_algorithm
-            << " shards=" << report.shards
             << " events=" << report.counters.events
             << " checkpoints=" << report.checkpoints.size()
             << " min_ratio=" << util::format_double(report.min_ratio, 6)
@@ -874,19 +810,15 @@ int cmd_help(std::ostream& os) {
       "  vdist_cli serve FILE --events EVENTS_FILE\n"
       "            [--policy repair|resolve|online] [--bound X]\n"
       "            [--refresh N] [--mode M] [--select S] [--mu X]\n"
-      "            [--guard 0|1] [--shards N] [--queue N] [--check N]\n"
-      "            [--json FILE|-]\n"
+      "            [--guard 0|1] [--check N] [--json FILE|-]\n"
       "  vdist_cli compete FILE (--events EVENTS_FILE |\n"
       "            [--family NAME] [--trace k=v,...] [--seed S])\n"
-      "            [serve backend flags] [--every N] [--offline ALGO]\n"
+      "            [serve session flags] [--every N] [--offline ALGO]\n"
       "            [--min-ratio X] [--csv FILE|-] [--json FILE|-]\n"
       "  vdist_cli sweep --plan FILE | --scenario NAME [--set k=v,...]\n"
       "            [--axis k=v1,v2[;k2=...]] [--algos a,b,c]\n"
       "            [--algo-axis algo:k=v1,v2[;...]] [--replicates N]\n"
       "            [--seed S] [--threads N] [--csv FILE|-] [--json FILE|-]\n"
-      "            [--workers FILE] [--cache DIR] [--deterministic 1]\n"
-      "            [--list-cells 1] [--shutdown-workers 1] [--verbose 1]\n"
-      "  vdist_cli worker [--port P] [--capacity N]\n"
       "  vdist_cli perf [--smoke 1] [--out FILE|-] [--reps N] [--seed S]\n"
       "            [--filter SUBSTR] [--threads N] [--min-speedup X]\n"
       "            [--baseline FILE] [--max-regress R]\n"
@@ -901,37 +833,26 @@ int cmd_help(std::ostream& os) {
       "product from a plan file or flags, runs it on a thread pool, and\n"
       "prints per-cell aggregates (mean/min/max objective, gap vs the\n"
       "utility upper bound, wall time); --csv/--json write the table for\n"
-      "plotting ('-' = stdout). With --workers FILE (lines: HOST PORT\n"
-      "[CAPACITY]) the grid cells are dispatched to 'vdist_cli worker'\n"
-      "processes with capacity-aware fan-out and retry on worker death;\n"
-      "--cache DIR recalls cells from a content-addressed result cache\n"
-      "keyed on the cell's parameters and the build's git SHA (works\n"
-      "without --workers too); --deterministic 1 zeroes wall-clock fields\n"
-      "so the merged CSV/JSON is byte-identical across runs and\n"
-      "executors; --list-cells 1 prints each cell's cache key and status\n"
-      "without solving; --shutdown-workers 1 tells surviving workers to\n"
-      "exit afterwards. 'gen-events' draws a deterministic event trace\n"
-      "(joins, leaves, stream add/remove, capacity and utility moves)\n"
-      "over an instance; --family selects a workload-registry adversary\n"
-      "(churn, zipf-drift, flash-crowd, diurnal, hetero-cap — 'vdist_cli\n"
-      "scenarios' lists each family's declared params, shared verbatim\n"
-      "with the corresponding scenario's and the serve solver's 'trace'\n"
-      "option). 'serve'\n"
-      "replays such a trace through the ServingBackend API\n"
-      "(engine/serving.h) under one of three repair policies and emits\n"
-      "objective-over-time JSON; --shards N (> 1) serves through the\n"
-      "sharded engine — N overlay replicas, worker threads and bounded\n"
-      "queues behind the same API, bit-identical objectives under\n"
-      "--policy resolve. With --check N the backend is compared against\n"
-      "a from-scratch solve every N events (resolve must match\n"
-      "bit-exactly, repair must stay within --bound; exit 4 on\n"
+      "plotting ('-' = stdout). 'gen-events' draws a deterministic event\n"
+      "trace (joins, leaves, stream add/remove, capacity and utility\n"
+      "moves) over an instance; --family selects a workload-registry\n"
+      "adversary (churn, zipf-drift, flash-crowd, diurnal, hetero-cap —\n"
+      "'vdist_cli scenarios' lists each family's declared params, shared\n"
+      "verbatim with the corresponding scenario's and the serve solver's\n"
+      "'trace' option). 'serve' replays such a trace through a serving\n"
+      "session (engine/session.h) under one of three repair policies and\n"
+      "emits objective-over-time JSON. With --check N the session is\n"
+      "compared against a from-scratch solve every N events (resolve must\n"
+      "match bit-exactly, repair must stay within --bound; exit 4 on\n"
       "violation). 'compete' replays a trace (from --events FILE, or\n"
-      "derived via --family/--trace/--seed) through the same backend and\n"
-      "solves the OFFLINE optimum on every --every N checkpoint prefix's\n"
+      "derived via --family/--trace/--seed) through the same session and\n"
+      "solves an offline reference on every --every N checkpoint prefix's\n"
       "materialized snapshot, reporting per-prefix online/offline/ratio\n"
-      "rows plus min/mean/final aggregates; --offline picks the reference\n"
-      "algorithm (default: the mode-matched greedy, under which resolve's\n"
-      "ratio is 1.0 bit-exactly), --min-ratio X gates the worst prefix\n"
+      "rows plus min/mean/final aggregates. The default reference is the\n"
+      "mode-matched §2.2 greedy, NOT the offline optimum (resolve's ratio\n"
+      "against it is 1.0 bit-exactly, online's may exceed 1); --offline\n"
+      "exact gives the proven optimum, and --offline ALGO any registered\n"
+      "algorithm. --min-ratio X gates the worst prefix\n"
       "(exit 5 on violation). 'perf' benchmarks the selection-kernel\n"
       "strategies (delta/lazy/naive) on scaling registered scenarios and\n"
       "writes BENCH_perf.json with build provenance (exit 3 when the\n"
@@ -960,7 +881,6 @@ int main(int argc, char** argv) {
     if (args.command == "serve") return cmd_serve(args);
     if (args.command == "compete") return cmd_compete(args);
     if (args.command == "sweep") return cmd_sweep(args);
-    if (args.command == "worker") return cmd_worker(args);
     if (args.command == "perf") return cmd_perf(args);
     if (args.command == "eval") return cmd_eval(args);
     if (args.command.empty() || args.command == "help" ||
