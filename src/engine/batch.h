@@ -38,7 +38,7 @@ struct BatchOptions {
   // Invoked after each request completes (any worker thread, serialized
   // by the runner). `done` counts completed requests so far.
   std::function<void(const SolveResult&, std::size_t done, std::size_t total)>
-      on_result;
+      on_result{};
 };
 
 class BatchRunner {

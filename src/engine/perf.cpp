@@ -48,13 +48,7 @@ PerfMeasurement measure(const model::Instance& inst,
     }
     if (rep == 0 || r.wall_ms < out.wall_ms) out.wall_ms = r.wall_ms;
     out.objective = r.objective;
-    out.picks = r.stat("select_picks");
-    out.evals = r.stat("select_evals");
-    out.pairs_touched = r.stat("select_pairs_touched");
-    out.rows_walked = r.stat("select_rows_walked");
-    out.heap_sifts = r.stat("select_heap_sifts");
-    out.frames_reused = r.stat("frames_reused");
-    out.completions_replayed = r.stat("completions_replayed");
+    out.stats = r.stats;
     // Serve cases: throughput over the event-apply time alone (the
     // repair_wall_ms stat excludes instance generation and the opening
     // solve). Best repetition, consistent with the minimum wall. Only
@@ -84,31 +78,46 @@ void json_measurement(std::ostream& os, const PerfMeasurement& m) {
   json_number(os, m.wall_ms);
   os << ",\"objective\":";
   json_number(os, m.objective);
-  os << ",\"picks\":";
-  json_number(os, m.picks);
-  os << ",\"evals\":";
-  json_number(os, m.evals);
-  os << ",\"pairs_touched\":";
-  json_number(os, m.pairs_touched);
-  os << ",\"rows_walked\":";
-  json_number(os, m.rows_walked);
-  os << ",\"heap_sifts\":";
-  json_number(os, m.heap_sifts);
-  os << ",\"frames_reused\":";
-  json_number(os, m.frames_reused);
-  os << ",\"completions_replayed\":";
-  json_number(os, m.completions_replayed);
   os << ",\"events_per_sec\":";
   json_number(os, m.events_per_sec);
+  for (const auto& [key, value] : m.stats) {
+    os << ',';
+    json_string(os, key);
+    os << ':';
+    json_number(os, value);
+  }
   os << '}';
 }
 
-double ratio_of(double naive_wall, double fast_wall) {
-  if (fast_wall > 0.0) return naive_wall / fast_wall;
-  return naive_wall > 0.0 ? util::kInf : 1.0;
+// The inverse of json_measurement: the fixed members by name, every
+// other number as a stat.
+PerfMeasurement measurement_from_json(const util::JsonValue& v) {
+  PerfMeasurement m;
+  m.ok = v.bool_or("ok", false);
+  m.error = v.string_or("error", "");
+  m.wall_ms = v.number_or("wall_ms", 0.0);
+  m.objective = v.number_or("objective", 0.0);
+  m.events_per_sec = v.number_or("events_per_sec", 0.0);
+  for (const auto& [key, member] : v.object)
+    if (member.kind == util::JsonValue::Kind::kNumber && key != "wall_ms" &&
+        key != "objective" && key != "events_per_sec")
+      m.stats[key] = member.number;
+  return m;
+}
+
+// a / b, reading 0/0 as 1 and x/0 as +inf; speedups pass (naive,
+// delta), baseline ratios (current, baseline).
+double ratio_of(double a, double b) {
+  if (b > 0.0) return a / b;
+  return a > 0.0 ? util::kInf : 1.0;
 }
 
 }  // namespace
+
+double PerfMeasurement::stat(const std::string& key, double fallback) const {
+  const auto it = stats.find(key);
+  return it == stats.end() ? fallback : it->second;
+}
 
 PerfProvenance collect_provenance() {
   PerfProvenance p;
@@ -137,6 +146,7 @@ PerfProvenance collect_provenance() {
 const PerfCase* PerfReport::largest() const {
   const PerfCase* best = nullptr;
   for (const PerfCase& c : cases) {
+    if (!c.naive) continue;
     if (best == nullptr || c.streams > best->streams ||
         (c.streams == best->streams && c.edges > best->edges))
       best = &c;
@@ -147,8 +157,8 @@ const PerfCase* PerfReport::largest() const {
 std::string PerfReport::first_error() const {
   for (const PerfCase& c : cases) {
     if (!c.delta.error.empty()) return c.label + ": " + c.delta.error;
-    if (!c.lazy.error.empty()) return c.label + ": " + c.lazy.error;
-    if (!c.naive.error.empty()) return c.label + ": " + c.naive.error;
+    if (c.naive && !c.naive->error.empty())
+      return c.label + ": " + c.naive->error;
   }
   return {};
 }
@@ -203,8 +213,7 @@ std::vector<PerfCaseSpec> default_perf_suite(bool smoke) {
   // The serving session on a 10k-event churn trace: incremental repair
   // vs per-event from-scratch re-solves over the same events. The two
   // labels share the instance and trace, so their delta wall ratio IS
-  // the session's repair speedup (BENCH commits it); the per-case
-  // objective cross-check still runs across the kernel strategies.
+  // the session's repair speedup (BENCH commits it).
   suite.push_back(make_case("cap", 400, 100, "serve"));
   suite.back().options.set("policy", "repair").set("events", 10000);
   suite.back().label = "serve-10k/repair";
@@ -273,19 +282,17 @@ PerfReport run_perf(const PerfOptions& opts) {
         static_cast<unsigned>(spec.options.get_int("threads", 1));
     result.delta = measure(inst, spec, core::SelectStrategy::kDeltaHeap,
                            report.repetitions, opts.seed, ws);
-    result.lazy = measure(inst, spec, core::SelectStrategy::kLazyHeap,
-                          report.repetitions, opts.seed, ws);
-    result.naive = measure(inst, spec, core::SelectStrategy::kNaiveScan,
-                           report.repetitions, opts.seed, ws);
-    if (result.ok()) {
-      result.speedup = ratio_of(result.naive.wall_ms, result.delta.wall_ms);
-      result.speedup_lazy =
-          ratio_of(result.naive.wall_ms, result.lazy.wall_ms);
+    // Serve cases time the session's event loop, not the kernel: no
+    // naive oracle run there (see the header).
+    if (spec.algorithm != "serve")
+      result.naive = measure(inst, spec, core::SelectStrategy::kNaiveScan,
+                             report.repetitions, opts.seed, ws);
+    if (result.naive && result.ok()) {
+      result.speedup = ratio_of(result.naive->wall_ms, result.delta.wall_ms);
       // The strategies are pick-for-pick equivalent, so the objectives
       // must be bit-identical — any drift is a kernel bug.
       result.objective_match =
-          result.delta.objective == result.naive.objective &&
-          result.lazy.objective == result.naive.objective;
+          result.delta.objective == result.naive->objective;
     }
     report.cases.push_back(std::move(result));
   }
@@ -294,8 +301,8 @@ PerfReport run_perf(const PerfOptions& opts) {
 
 util::Table perf_table(const PerfReport& report) {
   util::Table table({"case", "streams", "edges", "thr", "delta_ms",
-                     "lazy_ms", "naive_ms", "speedup", "delta_evals",
-                     "lazy_evals", "objective", "match"});
+                     "delta_evals", "objective", "naive_ms", "naive_evals",
+                     "speedup", "match"});
   for (const PerfCase& c : report.cases) {
     table.row()
         .add(c.label)
@@ -303,14 +310,16 @@ util::Table perf_table(const PerfReport& report) {
         .add(c.edges)
         .add(static_cast<std::size_t>(c.threads))
         .add(c.delta.wall_ms, 3)
-        .add(c.lazy.wall_ms, 3)
-        .add(c.naive.wall_ms, 3)
+        .add(c.delta.stat("select_evals"), 0)
+        .add(c.delta.objective, 4);
+    if (!c.naive) {
+      table.add("-").add("-").add("-").add(c.ok() ? "-" : "ERROR");
+      continue;
+    }
+    table.add(c.naive->wall_ms, 3)
+        .add(c.naive->stat("select_evals"), 0)
         .add(c.speedup, 2)
-        .add(c.delta.evals, 0)
-        .add(c.lazy.evals, 0)
-        .add(c.delta.objective, 4)
-        .add(std::string(c.ok() ? (c.objective_match ? "yes" : "NO")
-                                : "ERROR"));
+        .add(!c.ok() ? "ERROR" : (c.objective_match ? "yes" : "NO"));
   }
   return table;
 }
@@ -342,16 +351,15 @@ void write_perf_json(std::ostream& os, const PerfReport& report) {
        << ",\"edges\":" << c.edges << ",\"threads\":" << c.threads
        << ",\"delta\":";
     json_measurement(os, c.delta);
-    os << ",\"lazy\":";
-    json_measurement(os, c.lazy);
-    os << ",\"naive\":";
-    json_measurement(os, c.naive);
-    os << ",\"speedup\":";
-    json_number(os, c.speedup);
-    os << ",\"speedup_lazy\":";
-    json_number(os, c.speedup_lazy);
-    os << ",\"objective_match\":" << (c.objective_match ? "true" : "false")
-       << '}';
+    if (c.naive) {
+      os << ",\"naive\":";
+      json_measurement(os, *c.naive);
+      os << ",\"speedup\":";
+      json_number(os, c.speedup);
+      os << ",\"objective_match\":"
+         << (c.objective_match ? "true" : "false");
+    }
+    os << '}';
   }
   os << "],\"largest\":";
   const PerfCase* largest = report.largest();
@@ -405,39 +413,18 @@ PerfBaselineDiff diff_perf_baseline(const PerfReport& current,
       diff.only_current.push_back(cur.label);
       continue;
     }
-    // Primary measurement: the baseline's delta entry when present and
-    // ok, else its lazy entry (pre-PR-4 schema).
     const util::JsonValue* base = match->find("delta");
-    std::string strategy = "delta";
-    if (base == nullptr || !base->bool_or("ok", false)) {
-      base = match->find("lazy");
-      strategy = "lazy";
-    }
     if (base == nullptr || !base->bool_or("ok", false) || !cur.delta.ok)
       continue;  // nothing comparable on one side
 
     PerfBaselineEntry entry;
     entry.label = cur.label;
-    entry.baseline_strategy = strategy;
-    entry.baseline_wall_ms = base->number_or("wall_ms", 0.0);
-    entry.current_wall_ms = cur.delta.wall_ms;
-    entry.wall_ratio = entry.baseline_wall_ms > 0.0
-                           ? entry.current_wall_ms / entry.baseline_wall_ms
-                           : (entry.current_wall_ms > 0.0 ? util::kInf : 1.0);
-    entry.baseline_evals = base->number_or("evals", 0.0);
-    entry.current_evals = cur.delta.evals;
-    entry.evals_ratio = entry.baseline_evals > 0.0
-                            ? entry.current_evals / entry.baseline_evals
-                            : (entry.current_evals > 0.0 ? util::kInf : 1.0);
-    // Phase counters: -1 marks a baseline document predating the
-    // counters (pre-PR-8 schema) so the table can print "-" instead of
-    // a misleading 0.
-    entry.baseline_pairs_touched = base->number_or("pairs_touched", -1.0);
-    entry.current_pairs_touched = cur.delta.pairs_touched;
-    entry.baseline_rows_walked = base->number_or("rows_walked", -1.0);
-    entry.current_rows_walked = cur.delta.rows_walked;
-    entry.baseline_heap_sifts = base->number_or("heap_sifts", -1.0);
-    entry.current_heap_sifts = cur.delta.heap_sifts;
+    entry.baseline = measurement_from_json(*base);
+    entry.current = cur.delta;
+    entry.wall_ratio =
+        ratio_of(entry.current.wall_ms, entry.baseline.wall_ms);
+    entry.evals_ratio = ratio_of(entry.current.stat("select_evals"),
+                                  entry.baseline.stat("select_evals"));
     diff.entries.push_back(std::move(entry));
   }
   for (const util::JsonValue& cand : cases->array) {
@@ -452,33 +439,35 @@ PerfBaselineDiff diff_perf_baseline(const PerfReport& current,
 
 namespace {
 
-// "base->now" for one phase counter; "-" on the baseline side when the
-// baseline document predates the counters (marked -1 by the differ).
-std::string counter_cell(double base, double now) {
-  const std::string cur = std::to_string(static_cast<long long>(now));
-  if (base < 0.0) return "-/" + cur;
-  return std::to_string(static_cast<long long>(base)) + "/" + cur;
+// "base/now" for one stat; "-" on a side that does not report it.
+std::string counter_cell(const PerfBaselineEntry& e, const std::string& key) {
+  const auto cell = [&](const PerfMeasurement& m) {
+    const auto it = m.stats.find(key);
+    return it == m.stats.end()
+               ? std::string("-")
+               : std::to_string(static_cast<long long>(it->second));
+  };
+  return cell(e.baseline) + "/" + cell(e.current);
 }
 
 }  // namespace
 
 util::Table baseline_table(const PerfBaselineDiff& diff) {
-  util::Table table({"case", "base_strategy", "base_ms", "now_ms",
-                     "wall_ratio", "base_evals", "now_evals", "evals_ratio",
-                     "pairs(b/n)", "rows(b/n)", "sifts(b/n)"});
+  util::Table table({"case", "base_ms", "now_ms", "wall_ratio", "base_evals",
+                     "now_evals", "evals_ratio", "pairs(b/n)", "rows(b/n)",
+                     "sifts(b/n)"});
   for (const PerfBaselineEntry& e : diff.entries) {
     table.row()
         .add(e.label)
-        .add(e.baseline_strategy)
-        .add(e.baseline_wall_ms, 3)
-        .add(e.current_wall_ms, 3)
+        .add(e.baseline.wall_ms, 3)
+        .add(e.current.wall_ms, 3)
         .add(e.wall_ratio, 3)
-        .add(e.baseline_evals, 0)
-        .add(e.current_evals, 0)
+        .add(e.baseline.stat("select_evals"), 0)
+        .add(e.current.stat("select_evals"), 0)
         .add(e.evals_ratio, 3)
-        .add(counter_cell(e.baseline_pairs_touched, e.current_pairs_touched))
-        .add(counter_cell(e.baseline_rows_walked, e.current_rows_walked))
-        .add(counter_cell(e.baseline_heap_sifts, e.current_heap_sifts));
+        .add(counter_cell(e, "select_pairs_touched"))
+        .add(counter_cell(e, "select_rows_walked"))
+        .add(counter_cell(e, "select_heap_sifts"));
   }
   return table;
 }

@@ -1,23 +1,23 @@
 // The perf subsystem: a registered-scenario benchmark suite comparing the
-// selection-kernel strategies (core/select.h) at scaling instance sizes,
-// recorded as a machine-readable BENCH JSON so the repository keeps a
-// performance trajectory between PRs.
+// selection kernel (core/select.h) against its naive oracle at scaling
+// instance sizes, recorded as a machine-readable BENCH JSON so the
+// repository keeps a performance trajectory between PRs.
 //
 // Each case is a (scenario spec, algorithm, options) triple built through
-// the ScenarioRegistry; run_perf() solves it once per strategy
-// (select=delta / lazy / naive) on one reusable SolveWorkspace, repeats
-// `repetitions` times keeping the *minimum* wall time (robust against
-// scheduler noise), and cross-checks that all strategies produced the
-// identical objective — they are pick-for-pick equivalent by
-// construction, so any mismatch is a kernel bug, not noise.
+// the ScenarioRegistry. run_perf() solves it under select=delta on one
+// reusable SolveWorkspace, repeats `repetitions` times keeping the
+// *minimum* wall time (robust against scheduler noise), and — on kernel
+// cases, every algorithm except `serve` — measures select=naive the same
+// way and cross-checks that both produced the identical objective: they
+// are pick-for-pick equivalent by construction, so any mismatch is a
+// kernel bug, not noise. Serve cases time the session's event loop, where
+// the kernel is not what is measured; they run delta only, and their
+// delta-vs-naive agreement is a test (tests/test_session_contract.cpp).
 //
-// Consumers:
-//   * `vdist_cli perf [--smoke] [--baseline FILE]` — runs the suite,
-//     prints the table, writes BENCH_perf.json, can enforce a minimum
-//     delta-vs-naive speedup on the largest case, and can diff the run
-//     against a committed BENCH JSON (exit 3 past --max-regress);
-//   * bench/bench_perf.cpp — the same suite as an experiment harness
-//     under the bench-smoke target.
+// `vdist_cli perf [--smoke] [--baseline FILE]` runs the suite, prints the
+// table, writes BENCH_perf.json, can enforce a minimum delta-vs-naive
+// speedup on the largest kernel case, and can diff the run against the
+// committed BENCH JSON (exit 3 past --max-regress).
 //
 // BENCH_perf.json schema (one object):
 //   {
@@ -29,48 +29,35 @@
 //       "streams": N, "users": N, "edges": N,
 //       "threads": N,        // worker threads the case runs on: the
 //                            // enum cases' DFS threads (--threads); 1
-//                            // for every other case. Recorded per
-//                            // case so a wall-ms delta against a
-//                            // baseline entry with a different thread
-//                            // count is visibly not a like-for-like
-//                            // comparison.
-//       "delta": {"wall_ms": x, "objective": x, "picks": n, "evals": n,
-//                 "pairs_touched": n,  // w-bar propagation deltas applied
-//                 "rows_walked": n,    // user adjacency rows entered
-//                 "heap_sifts": n,     // heap sift passes (build + repair)
-//                 "frames_reused": n,  // enum cases: leaves scored off a
-//                                      // recorded parent frame + trace
-//                 "completions_replayed": n,  // ... of those, scored
-//                                      // entirely in replay space (no
-//                                      // engine completion); 0 elsewhere
-//                 "events_per_sec": x},  // serve cases: events stat /
-//                                        // event-apply seconds
-//                                        // (repair_wall_ms); 0 elsewhere,
-//                                        // and 0 when the case's threads
-//                                        // exceed hardware_concurrency
-//                                        // (timesliced threads measure
-//                                        // the scheduler, not the engine)
-//       "lazy":  {...}, "naive": {...},
-//       "speedup": x,        // naive.wall_ms / delta.wall_ms
-//       "speedup_lazy": x,   // naive.wall_ms / lazy.wall_ms
-//       "objective_match": bool  // exact equality across all strategies
+//                            // for every other case, so a wall delta
+//                            // against a different thread count is
+//                            // visibly not like-for-like
+//       "delta": {"ok": bool, "error": str, "wall_ms": x, "objective": x,
+//                 "events_per_sec": x,  // serve cases: events stat /
+//                                       // event-apply seconds; 0
+//                                       // elsewhere, and 0 when threads
+//                                       // exceed hardware_concurrency
+//                 STAT: x, ...},  // every SolveResult::stats entry under
+//                                 // its registry name: select_picks,
+//                                 // select_evals, select_pairs_touched,
+//                                 // select_rows_walked, select_heap_sifts,
+//                                 // plus the algorithm's own stats
+//       "naive": {...},           // kernel cases only, same shape
+//       "speedup": x,             // kernel cases: naive / delta wall_ms
+//       "objective_match": bool   // kernel cases: delta == naive exactly
 //     }, ...],
 //     "largest": {"label": str, "streams": N, "speedup": x,
-//                 "objective_match": bool}   // case with most streams
+//                 "objective_match": bool}   // kernel case, most streams
 //   }
-// Pre-PR-4 documents lack "delta"/"provenance"; pre-PR-6 documents lack
-// "threads"/"events_per_sec"; pre-PR-8 documents lack the phase counters
-// ("pairs_touched"/"rows_walked"/"heap_sifts"); pre-PR-9 documents lack
-// the replay counters ("frames_reused"/"completions_replayed",
-// informational, never gated). The baseline differ
-// falls back to "lazy" as the primary measurement for the first, never
-// gates on throughput (reported, not diffed), and prints "-" for phase
-// counters a baseline does not carry; phase counters are shown to make
-// regressions attributable but never gate.
+// The baseline differ compares the delta entries: wall_ms and
+// select_evals gate; pairs/rows/sifts are shown to make a regression
+// attributable to a phase but never gate.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,7 +78,7 @@ struct PerfCaseSpec {
 
 struct PerfOptions {
   // Smoke mode: tiny sizes that exercise every code path in seconds (the
-  // CI perf-smoke job and the bench-smoke target run this).
+  // CI perf-smoke job runs this).
   bool smoke = false;
   // Wall-time repetitions per (case, strategy); 0 = 3 full / 2 smoke.
   int repetitions = 0;
@@ -116,25 +103,18 @@ struct PerfMeasurement {
   std::string error;
   double wall_ms = 0.0;  // minimum over the repetitions
   double objective = 0.0;
-  double picks = 0.0;  // selection-kernel pop_best() count
-  double evals = 0.0;  // effectiveness (re-)evaluations
-  // Per-phase hot-path counters (SelectStats): w-bar deltas applied,
-  // user adjacency rows entered, and heap sift passes. Deterministic
-  // like evals, so a wall regression can be attributed to a phase.
-  double pairs_touched = 0.0;
-  double rows_walked = 0.0;
-  double heap_sifts = 0.0;
-  // Enumeration cases: shared-prefix replay counters (core/replay.h) —
-  // leaves that pulled a recorded parent frame, and those scored without
-  // any engine completion. 0 for the other algorithms.
-  double frames_reused = 0.0;
-  double completions_replayed = 0.0;
   // Serve cases: events applied per second of event-apply wall time
   // (the "events" stat over "repair_wall_ms"; best repetition). 0 for
   // algorithms without an event loop, and 0 when the case asks for
   // more worker threads than the box has cores — timesliced threads
   // produce a scheduler number, not an engine number.
   double events_per_sec = 0.0;
+  // The solve's SolveResult::stats as reported (last repetition): the
+  // select_* counters of report_select and the algorithm's own stats.
+  std::map<std::string, double> stats;
+
+  [[nodiscard]] double stat(const std::string& key,
+                            double fallback = 0.0) const;
 };
 
 struct PerfCase {
@@ -145,18 +125,17 @@ struct PerfCase {
   std::size_t users = 0;
   std::size_t edges = 0;
   // Worker threads the case solves on (the enum cases' `threads`
-  // option; 1 everywhere else). Bugfix: earlier BENCH documents never
-  // recorded this, leaving multi-threaded and single-threaded walls
-  // indistinguishable in the trajectory.
+  // option; 1 everywhere else).
   unsigned threads = 1;
   PerfMeasurement delta;
-  PerfMeasurement lazy;
-  PerfMeasurement naive;
-  double speedup = 0.0;       // naive.wall_ms / delta.wall_ms (0 if !ok)
-  double speedup_lazy = 0.0;  // naive.wall_ms / lazy.wall_ms (0 if !ok)
+  // The naive-scan oracle; kernel cases only (absent on serve cases).
+  std::optional<PerfMeasurement> naive;
+  double speedup = 0.0;  // naive->wall_ms / delta.wall_ms (0 if !ok)
   bool objective_match = false;
 
-  [[nodiscard]] bool ok() const { return delta.ok && lazy.ok && naive.ok; }
+  [[nodiscard]] bool ok() const {
+    return delta.ok && (!naive || naive->ok);
+  }
 };
 
 // Where this run came from: stamped into the BENCH JSON so entries are
@@ -178,8 +157,9 @@ struct PerfReport {
   PerfProvenance provenance;
   std::vector<PerfCase> cases;
 
-  // The case with the most streams (ties: most edges); nullptr when the
-  // suite is empty. The CI speedup gate applies to this case.
+  // The kernel case (one with a naive measurement) with the most streams
+  // (ties: most edges); nullptr when there is none. The CI speedup gate
+  // applies to this case.
   [[nodiscard]] const PerfCase* largest() const;
   // First per-case error across the suite; empty when every run worked.
   [[nodiscard]] std::string first_error() const;
@@ -196,7 +176,7 @@ struct PerfReport {
 // measurements instead.
 [[nodiscard]] PerfReport run_perf(const PerfOptions& opts = {});
 
-// One row per case: sizes, per-strategy wall/evals, speedup, match.
+// One row per case: sizes, delta/naive wall, speedup, evals, match.
 [[nodiscard]] util::Table perf_table(const PerfReport& report);
 
 // The BENCH_perf.json document described above.
@@ -207,22 +187,10 @@ void write_perf_json(std::ostream& os, const PerfReport& report);
 // One label present in both the current report and the baseline JSON.
 struct PerfBaselineEntry {
   std::string label;
-  std::string baseline_strategy;  // measurement key compared ("delta"/"lazy")
-  double baseline_wall_ms = 0.0;
-  double current_wall_ms = 0.0;
-  double wall_ratio = 0.0;  // current / baseline (> 1 = regression)
-  double baseline_evals = 0.0;
-  double current_evals = 0.0;
-  double evals_ratio = 0.0;  // current / baseline (machine-independent)
-  // Phase counters on both sides. Baselines predating the counters
-  // (pre-PR-8 schema) report -1 on the baseline side; the table prints
-  // "-" there. Informational only — regressed() never gates on these.
-  double baseline_pairs_touched = -1.0;
-  double current_pairs_touched = 0.0;
-  double baseline_rows_walked = -1.0;
-  double current_rows_walked = 0.0;
-  double baseline_heap_sifts = -1.0;
-  double current_heap_sifts = 0.0;
+  PerfMeasurement baseline;  // the baseline document's delta entry
+  PerfMeasurement current;   // this run's delta measurement
+  double wall_ratio = 0.0;   // current / baseline (> 1 = regression)
+  double evals_ratio = 0.0;  // select_evals, current / baseline
 };
 
 struct PerfBaselineDiff {
@@ -240,15 +208,14 @@ struct PerfBaselineDiff {
                                bool evals = true) const;
 };
 
-// Matches current cases against a parsed BENCH JSON by label. The
-// baseline's primary measurement is its "delta" entry when present and
-// ok, else "lazy" (pre-PR-4 documents); the current side always uses
-// delta. Throws std::runtime_error when `baseline` is not a perf
-// document.
+// Matches current cases against a parsed BENCH JSON by label, comparing
+// the delta entries of both sides. Throws std::runtime_error when
+// `baseline` is not a perf document.
 [[nodiscard]] PerfBaselineDiff diff_perf_baseline(
     const PerfReport& current, const util::JsonValue& baseline);
 
-// One row per matched label: walls, wall ratio, evals ratio.
+// One row per matched label: walls, wall ratio, evals ratio, and the
+// pairs/rows/sifts counters of both sides.
 [[nodiscard]] util::Table baseline_table(const PerfBaselineDiff& diff);
 
 }  // namespace vdist::engine

@@ -31,14 +31,14 @@ struct SolveOutcome {
   model::Assignment assignment;
   // The algorithm's own objective; negative means "use raw utility".
   double objective = -1.0;
-  std::string variant;
-  std::map<std::string, double> stats;
+  std::string variant{};
+  std::map<std::string, double> stats{};
   // When set, the registry reports this classification instead of
   // validating against the request instance. For adapters whose output
   // is defined over a *different* world than the input — the `serve`
   // session solves the event-churned overlay, so its end state must be
   // judged against the materialized overlay, not the pre-churn parent.
-  std::optional<model::Feasibility> feasibility;
+  std::optional<model::Feasibility> feasibility{};
 };
 
 struct SolverInfo {
@@ -51,7 +51,7 @@ struct SolverInfo {
   // Every SolveOptions key the adapter reads. Strict mode
   // (SolveRequest::strict, the CLI default) rejects keys outside this
   // list, catching `--bugdet 0.3`-style typos that lenient mode ignores.
-  std::vector<std::string> option_keys;
+  std::vector<std::string> option_keys{};
 };
 
 class SolverRegistry {

@@ -92,7 +92,7 @@ void RepairCore::reset(const WorldRef& w) {
 void RepairCore::resolve(const WorldRef& w, const Context& ctx,
                          core::SelectStats& select) {
   reset(w);
-  run_completion(w, ctx, select);
+  (void)run_completion(w, ctx, select);  // resolve needs no count
 }
 
 // Re-derives every per-entity array after an overlay rebuild (append).

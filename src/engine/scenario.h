@@ -53,11 +53,11 @@ struct ScenarioInfo {
 // all flow through the same representation as algorithm options.
 struct ScenarioSpec {
   std::string name;
-  SolveOptions params;
+  SolveOptions params{};
   std::uint64_t seed = 1;
   // Optional display label (sweep cells, CSV); the registry ignores it.
   // Lets a plan carry two bases of the same family ("cap", "cap-reduced").
-  std::string label;
+  std::string label{};
 };
 
 class ScenarioRegistry {

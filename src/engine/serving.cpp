@@ -32,7 +32,7 @@ constexpr std::array<ServeOptionSpec, 10> kServeOptions = {{
     {"bound", "0.05", "repair: relative drift tolerated before a resolve"},
     {"refresh", "64", "repair: events between drift checks (0 = never)"},
     {"mode", "feasible", "winner mode: feasible|augmented"},
-    {"select", "delta", "argmax kernel: delta|lazy|naive"},
+    {"select", "delta", "argmax kernel: delta|naive"},
     {"mu", "0", "online: learning rate (<= 0 derives the paper's)"},
     {"guard", "1", "online: feasibility guard"},
     {"events", "200", "derived event-trace length (registry adapter)"},

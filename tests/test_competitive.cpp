@@ -156,10 +156,11 @@ TEST(Competitive, ExactOfflineReferenceBoundsTheGreedyPolicies) {
     EXPECT_LE(cp.ratio, 1.0 + 1e-12) << cp.event;
     EXPECT_GT(cp.ratio, 0.0) << cp.event;
     EXPECT_GE(cp.upper_bound, cp.offline_objective - 1e-9) << cp.event;
-    if (cp.upper_bound > 0.0)
+    if (cp.upper_bound > 0.0) {
       EXPECT_EQ(cp.offline_gap,
                 (cp.upper_bound - cp.offline_objective) / cp.upper_bound)
           << cp.event;
+    }
   }
   EXPECT_THROW(
       {

@@ -71,7 +71,7 @@ TEST(Session, ParsePolicyNamesRoundTrip) {
   EXPECT_EQ(parse_serve_policy("repair"), ServePolicy::kRepair);
   EXPECT_EQ(parse_serve_policy("resolve"), ServePolicy::kResolve);
   EXPECT_EQ(parse_serve_policy("online"), ServePolicy::kOnline);
-  EXPECT_THROW(parse_serve_policy("rapair"), std::invalid_argument);
+  EXPECT_THROW((void)parse_serve_policy("rapair"), std::invalid_argument);
   EXPECT_STREQ(to_string(ServePolicy::kRepair), "repair");
 }
 

@@ -66,8 +66,9 @@ TEST(Engine, SessionPolicyDrivesTheSimulator) {
   EXPECT_EQ(rs.totals.accepted, rq.totals.accepted);
   // Requires the session's cap form.
   const auto mmd = small_workload().instance;
-  if (!mmd.is_unit_skew())
+  if (!mmd.is_unit_skew()) {
     EXPECT_THROW(SessionPolicy{mmd}, std::invalid_argument);
+  }
 }
 
 TEST(Engine, SessionPolicyIsNamedByItsPolicyAndDecidesEverySession) {

@@ -75,7 +75,7 @@ TEST(WorkloadRegistry, BuiltinFamiliesRegisteredInOrder) {
     EXPECT_TRUE(has_seed) << name;
   }
   EXPECT_FALSE(registry.contains("zipf"));
-  EXPECT_THROW(registry.model("zipf"), std::invalid_argument);
+  EXPECT_THROW((void)registry.model("zipf"), std::invalid_argument);
   try {
     (void)registry.model("zipf");
   } catch (const std::invalid_argument& e) {
@@ -99,10 +99,10 @@ TEST(WorkloadParams, TypedAccessorsValidate) {
   EXPECT_EQ(params.get_double("a"), 0.5);
   EXPECT_EQ(params.get_fraction("a"), 0.5);
   EXPECT_EQ(params.get_count("d"), 7u);
-  EXPECT_THROW(params.get_double("b"), std::invalid_argument);
-  EXPECT_THROW(params.get_count("c"), std::invalid_argument);
-  EXPECT_THROW(params.get_fraction("d"), std::invalid_argument);
-  EXPECT_THROW(params.get("missing"), std::invalid_argument);
+  EXPECT_THROW((void)params.get_double("b"), std::invalid_argument);
+  EXPECT_THROW((void)params.get_count("c"), std::invalid_argument);
+  EXPECT_THROW((void)params.get_fraction("d"), std::invalid_argument);
+  EXPECT_THROW((void)params.get("missing"), std::invalid_argument);
 }
 
 TEST(WorkloadRegistry, ApplyOverridesParsesKeyValueLists) {
