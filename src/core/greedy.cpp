@@ -21,33 +21,91 @@ using util::approx_le;
 
 namespace {
 
-// Per-user peel decision shared by the materializing and values-only
-// split paths: how many leading streams stay in A1.
-[[nodiscard]] std::size_t a1_keep_count(const InstanceView& view, UserId u,
-                                        std::span<const StreamId> streams) {
-  // Only users the greedy saturated past W_u need the last stream peeled
-  // (the paper peels unconditionally; keeping the full assignment when
-  // it already fits is a strict improvement with the same guarantee).
-  double w = 0.0;
-  for (StreamId s : streams) w += view.pair_utility(u, s);
-  const bool over_cap = !approx_le(w, view.capacity(u));
-  return streams.size() - (over_cap ? 1 : 0);
+// Lemma 2.6's Amax stream: the first stream of maximal total utility, or
+// kInvalidStream when no stream has positive total.
+[[nodiscard]] StreamId amax_stream(const InstanceView& view) noexcept {
+  StreamId best = model::kInvalidStream;
+  double best_w = -1.0;
+  for (std::size_t s = 0; s < view.num_streams(); ++s) {
+    const double w = view.total_utility(static_cast<StreamId>(s));
+    if (w > best_w) {
+      best_w = w;
+      best = static_cast<StreamId>(s);
+    }
+  }
+  return best_w > 0.0 ? best : model::kInvalidStream;
 }
 
-// The one Theorem 2.8 peel loop both materializing paths share; only the
-// per-user over-cap decision differs (recomputed pair sums for the free
-// function, the engine's running accumulator for scoring mode).
-template <typename OverCapFn>
-[[nodiscard]] Assignment peel_split(const InstanceView& view,
-                                    const Assignment& semi, bool keep_rest,
-                                    OverCapFn&& over_cap) {
+}  // namespace
+
+const char* winner_name(Winner winner) noexcept {
+  switch (winner) {
+    case Winner::kGreedy:
+      return "greedy";
+    case Winner::kA1:
+      return "A1";
+    case Winner::kA2:
+      return "A2";
+    case Winner::kAmax:
+      break;
+  }
+  return "Amax";
+}
+
+RaceScores race_scores(const InstanceView& view,
+                       std::span<const double> user_w,
+                       std::span<const double> user_last_w) {
+  RaceScores out;
+  const std::size_t users = view.num_users();
+  for (std::size_t u = 0; u < users; ++u) {
+    const double last = user_last_w[u];
+    if (last <= 0.0) continue;  // never assigned (pairs with w <= 0 never are)
+    const double w = user_w[u];
+    const double cap = view.capacity(static_cast<UserId>(u));
+    out.capped += std::min(cap, w);
+    out.w1 += a1_share(w, last, cap);
+    out.w2 += last;
+  }
+  return out;
+}
+
+double amax_value(const InstanceView& view) noexcept {
+  const StreamId best = amax_stream(view);
+  double w_amax = 0.0;
+  if (best == model::kInvalidStream) return w_amax;
+  for (EdgeId e = view.first_edge(best); e < view.last_edge(best); ++e) {
+    const double w = view.edge_utility(e);
+    if (w > 0.0) w_amax += std::min(view.capacity(view.edge_user(e)), w);
+  }
+  return w_amax;
+}
+
+RaceResult race(SmdMode mode, const RaceScores& scores,
+                double w_amax) noexcept {
+  if (mode == SmdMode::kAugmented) {
+    if (scores.capped >= w_amax) return {scores.capped, Winner::kGreedy};
+    return {w_amax, Winner::kAmax};
+  }
+  if (scores.w1 >= scores.w2 && scores.w1 >= w_amax)
+    return {scores.w1, Winner::kA1};
+  if (scores.w2 >= w_amax) return {scores.w2, Winner::kA2};
+  return {w_amax, Winner::kAmax};
+}
+
+Assignment materialize_winner(const InstanceView& view, Winner winner,
+                              Assignment semi,
+                              std::span<const double> user_w) {
+  if (winner == Winner::kGreedy) return semi;
+  if (winner == Winner::kAmax) return best_single_stream(view);
+  const bool keep_rest = winner == Winner::kA1;
   Assignment out(view.base());
   for (std::size_t uu = 0; uu < view.num_users(); ++uu) {
     const auto u = static_cast<UserId>(uu);
     const auto streams = semi.streams_of(u);
     if (streams.empty()) continue;
     if (keep_rest) {
-      const std::size_t keep = streams.size() - (over_cap(u, streams) ? 1 : 0);
+      const bool over_cap = !approx_le(user_w[uu], view.capacity(u));
+      const std::size_t keep = streams.size() - (over_cap ? 1 : 0);
       for (std::size_t t = 0; t < keep; ++t) out.assign(u, streams[t]);
     } else {
       out.assign(u, streams.back());
@@ -55,8 +113,6 @@ template <typename OverCapFn>
   }
   return out;
 }
-
-}  // namespace
 
 void CompletionTrace::clear() {
   ++revision;
@@ -99,18 +155,16 @@ void CompletionTrace::finalize(const model::InstanceView& view,
   final_user_w.assign(user_w.begin(), user_w.end());
   final_user_last_w.assign(user_last_w.begin(), user_last_w.end());
   // Per-user split contributions at completion end, the same arithmetic
-  // the replay's scoring epilogue performs (core/replay.cpp): a clean
-  // user in a full-consume replay contributes exactly these two adds.
+  // race_scores() performs: a clean user in a full-consume replay
+  // (core/replay.cpp) contributes exactly these two adds.
   final_w1_add.assign(num_users, 0.0);
   final_w2_add.assign(num_users, 0.0);
   for (std::size_t uu = 0; uu < num_users; ++uu) {
-    const double w = final_user_w[uu];
     const double last = final_user_last_w[uu];
     if (last <= 0.0) continue;
     final_w2_add[uu] = last;
-    const bool over_cap =
-        !util::approx_le(w, view.capacity(static_cast<model::UserId>(uu)));
-    final_w1_add[uu] = over_cap ? w - last : w;
+    final_w1_add[uu] = a1_share(final_user_w[uu], last,
+                                view.capacity(static_cast<model::UserId>(uu)));
   }
   // Invert the per-pick assign CSR into per-user timelines (pick order is
   // preserved within each user: picks are scanned in order).
@@ -537,19 +591,8 @@ void GreedyEngine::restore(const GreedyCheckpoint& in) {
   }
 }
 
-SplitValues GreedyEngine::split_values() const {
-  SplitValues out;
-  const std::size_t users = view_.num_users();
-  for (std::size_t u = 0; u < users; ++u) {
-    const double last = ws_.user_last_w[u];
-    if (last <= 0.0) continue;  // never assigned (the engine skips w <= 0)
-    const double w = ws_.user_w[u];
-    out.w2 += last;
-    const bool over_cap =
-        !approx_le(w, view_.capacity(static_cast<UserId>(u)));
-    out.w1 += over_cap ? w - last : w;
-  }
-  return out;
+RaceScores GreedyEngine::race_scores() const {
+  return core::race_scores(view_, ws_.user_w, ws_.user_last_w);
 }
 
 Assignment GreedyEngine::materialize_assignment() const {
@@ -574,14 +617,11 @@ Assignment GreedyEngine::materialize_assignment() const {
   return out;
 }
 
-Assignment GreedyEngine::materialize_split(bool keep_rest) const {
-  const Assignment semi = materialize_assignment();
-  // The same over-cap decision split_values() scored with.
-  return peel_split(view_, semi, keep_rest,
-                    [&](UserId u, std::span<const StreamId>) {
-                      return !approx_le(ws_.user_w[static_cast<std::size_t>(u)],
-                                        view_.capacity(u));
-                    });
+Assignment GreedyEngine::materialize_winner(Winner winner) const {
+  // Amax never reads the semi-feasible solution: skip its replay.
+  if (winner == Winner::kAmax) return best_single_stream(view_);
+  return core::materialize_winner(view_, winner, materialize_assignment(),
+                                  ws_.user_w);
 }
 
 GreedyResult greedy_unit_skew(const InstanceView& view,
@@ -615,17 +655,9 @@ GreedyResult greedy_unit_skew_seeded(const Instance& inst,
 }
 
 Assignment best_single_stream(const InstanceView& view) {
-  StreamId best = model::kInvalidStream;
-  double best_w = -1.0;
-  for (std::size_t s = 0; s < view.num_streams(); ++s) {
-    const double w = view.total_utility(static_cast<StreamId>(s));
-    if (w > best_w) {
-      best_w = w;
-      best = static_cast<StreamId>(s);
-    }
-  }
+  const StreamId best = amax_stream(view);
   Assignment a(view.base());
-  if (best != model::kInvalidStream && best_w > 0.0)
+  if (best != model::kInvalidStream)
     for (EdgeId e = view.first_edge(best); e < view.last_edge(best); ++e)
       if (view.edge_utility(e) > 0.0) a.assign(view.edge_user(e), best);
   return a;
@@ -657,7 +689,11 @@ FeasibleSplit split_last_stream(const InstanceView& view,
     const auto u = static_cast<UserId>(uu);
     const auto streams = semi.streams_of(u);
     if (streams.empty()) continue;
-    const std::size_t keep = a1_keep_count(view, u, streams);
+    // Only users the greedy saturated past W_u lose their last stream.
+    double w = 0.0;
+    for (StreamId s : streams) w += view.pair_utility(u, s);
+    const bool over_cap = !approx_le(w, view.capacity(u));
+    const std::size_t keep = streams.size() - (over_cap ? 1 : 0);
     for (std::size_t t = 0; t < keep; ++t) {
       out.a1.assign(u, streams[t]);
       out.w1 += view.pair_utility(u, streams[t]);
@@ -672,56 +708,18 @@ FeasibleSplit split_last_stream(const Instance& inst, const Assignment& semi) {
   return split_last_stream(InstanceView::cap_form(inst), semi);
 }
 
-SplitValues split_last_stream_values(const InstanceView& view,
-                                     const Assignment& semi) {
-  SplitValues out;
-  for (std::size_t uu = 0; uu < view.num_users(); ++uu) {
-    const auto u = static_cast<UserId>(uu);
-    const auto streams = semi.streams_of(u);
-    if (streams.empty()) continue;
-    const std::size_t keep = a1_keep_count(view, u, streams);
-    for (std::size_t t = 0; t < keep; ++t)
-      out.w1 += view.pair_utility(u, streams[t]);
-    out.w2 += view.pair_utility(u, streams.back());
-  }
-  return out;
-}
-
-Assignment materialize_split(const InstanceView& view, const Assignment& semi,
-                             bool keep_rest) {
-  return peel_split(view, semi, keep_rest,
-                    [&](UserId u, std::span<const StreamId> streams) {
-                      return a1_keep_count(view, u, streams) < streams.size();
-                    });
-}
-
 SmdSolveResult solve_unit_skew(const InstanceView& view, SmdMode mode,
                                const GreedyOptions& opts) {
-  GreedyResult g = greedy_unit_skew(view, opts);
-  const SelectStats select = g.select;
-  Assignment amax = best_single_stream(view);
-  const double w_amax = view_capped_utility(view, amax);
-
-  auto finish = [&select](SmdSolveResult r) {
-    r.select = select;
-    return r;
-  };
-
-  if (mode == SmdMode::kAugmented) {
-    // Corollary 2.7: the semi-feasible greedy vs. the single best stream,
-    // compared by capped utility.
-    if (g.capped_utility >= w_amax)
-      return finish({std::move(g.assignment), g.capped_utility, "greedy", {}});
-    return finish({std::move(amax), w_amax, "Amax", {}});
-  }
-
-  // Theorem 2.8: peel the last stream assigned to each user.
-  FeasibleSplit split = split_last_stream(view, g.assignment);
-  if (split.w1 >= split.w2 && split.w1 >= w_amax)
-    return finish({std::move(split.a1), split.w1, "A1", {}});
-  if (split.w2 >= w_amax)
-    return finish({std::move(split.a2), split.w2, "A2", {}});
-  return finish({std::move(amax), w_amax, "Amax", {}});
+  SolveWorkspace local;
+  SolveWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : local;
+  GreedyOptions engine_opts = opts;
+  engine_opts.workspace = &ws;
+  engine_opts.build_assignment = false;  // score, then build the winner only
+  GreedyEngine engine(view, ws, engine_opts);
+  engine.run();
+  const RaceResult won = race(mode, engine.race_scores(), amax_value(view));
+  return {engine.materialize_winner(won.winner), won.value,
+          winner_name(won.winner), engine.result().select};
 }
 
 SmdSolveResult solve_unit_skew(const Instance& inst, SmdMode mode,

@@ -27,6 +27,7 @@
 //     in O(n^2) time.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
@@ -35,8 +36,73 @@
 #include "model/assignment.h"
 #include "model/instance.h"
 #include "model/view.h"
+#include "util/float_cmp.h"
 
 namespace vdist::core {
+
+enum class SmdMode {
+  kFeasible,   // Theorem 2.8: feasible output, ratio 3e/(e-1)
+  kAugmented,  // Corollary 2.7: semi-feasible output, ratio 2e/(e-1)
+};
+
+// --- The §2.2 race ------------------------------------------------------
+//
+// Corollary 2.7 keeps the better of the semi-feasible greedy and Amax;
+// Theorem 2.8 the best of A1, A2 and Amax. Every caller — the one-shot
+// solve, the §2.3 enumeration's candidates and replays, and the serving
+// session's maintained and fresh objectives — scores a semi-feasible
+// solution from the same per-user accumulators (user_w: assigned
+// utility in assignment order; user_last_w: the last assigned pair's
+// utility, 0 = never assigned) through race_scores() and decides through
+// race(), so equal states report equal bits wherever they are scored.
+
+// The race's candidates. winner_name() spells them ("greedy", "A1",
+// "A2", "Amax") for SmdSolveResult::variant and Session::variant().
+enum class Winner : std::uint8_t { kGreedy, kA1, kA2, kAmax };
+[[nodiscard]] const char* winner_name(Winner winner) noexcept;
+
+// A user's share of Theorem 2.8's A1 side: everything assigned, minus
+// the last stream when the user was saturated past its cap (the paper
+// peels unconditionally; keeping a user that already fits is a strict
+// improvement with the same guarantee). A2's share is `last_w` itself.
+[[nodiscard]] inline double a1_share(double user_w, double last_w,
+                                     double cap) noexcept {
+  return util::approx_le(user_w, cap) ? user_w : user_w - last_w;
+}
+
+// The greedy-side candidates' values, folded over users in user order.
+struct RaceScores {
+  double capped = 0.0;  // Corollary 2.7's greedy: sum_u min(W_u, w_u)
+  double w1 = 0.0;      // Theorem 2.8's A1
+  double w2 = 0.0;      // Theorem 2.8's A2
+};
+
+// One pass over the users' accumulators, caps read from the view.
+[[nodiscard]] RaceScores race_scores(const model::InstanceView& view,
+                                     std::span<const double> user_w,
+                                     std::span<const double> user_last_w);
+
+// Lemma 2.6's Amax value under the view: the first stream of maximal
+// total utility, valued as sum_u min(W_u, w_us) over its positive pairs
+// in edge order. O(|S| + deg).
+[[nodiscard]] double amax_value(const model::InstanceView& view) noexcept;
+
+struct RaceResult {
+  double value = 0.0;
+  Winner winner = Winner::kAmax;
+};
+
+// The race itself: ties go to the greedy side (greedy over Amax; A1 over
+// A2 over Amax).
+[[nodiscard]] RaceResult race(SmdMode mode, const RaceScores& scores,
+                              double w_amax) noexcept;
+
+// The race winner as an Assignment on the view's parent: `semi` itself
+// (kGreedy), one side of its Theorem 2.8 split peeled with the same
+// per-user over-cap decision race_scores() made from `user_w`, or Amax.
+[[nodiscard]] model::Assignment materialize_winner(
+    const model::InstanceView& view, Winner winner, model::Assignment semi,
+    std::span<const double> user_w);
 
 // How the greedy family runs: which selection strategy extracts the
 // argmax (core/select.h; the strategies are pick-for-pick identical),
@@ -49,12 +115,12 @@ struct GreedyOptions {
   bool record_trace = true;
   // When false, the engine skips per-pair Assignment bookkeeping entirely
   // and GreedyResult::assignment stays EMPTY — the caller scores through
-  // capped_utility()/split_values() and materializes a winner on demand
-  // (GreedyEngine::materialize_assignment / materialize_split). This is
-  // the §2.3 enumeration's inner-loop mode: thousands of candidate
-  // completions are scored, a handful are ever materialized. The
-  // Instance/view free functions force this back on — the assignment is
-  // their whole return value.
+  // race_scores() and materializes the race winner on demand
+  // (GreedyEngine::materialize_winner). This is the mode of
+  // solve_unit_skew and of the §2.3 enumeration's inner loop: thousands
+  // of candidate completions are scored, a handful are ever
+  // materialized. greedy_unit_skew forces this back on — the assignment
+  // is its whole return value.
   bool build_assignment = true;
 };
 
@@ -178,9 +244,9 @@ struct CompletionTrace {
   std::vector<double> final_user_w;
   std::vector<double> final_user_last_w;
   // Per-user contributions to the Theorem 2.8 split at completion end
-  // (both zero for never-assigned users): w1_add is the capped-or-full
-  // assigned utility, w2_add the last assigned utility. A full-consume
-  // replay sums these for clean users instead of re-deriving them.
+  // (both zero for never-assigned users): w1_add is a1_share(), w2_add
+  // the last assigned utility. A full-consume replay sums these for
+  // clean users instead of re-deriving them.
   std::vector<double> final_w1_add;
   std::vector<double> final_w2_add;
   // Per-user assignment timelines: user_tl_begin is CSR over users into
@@ -195,14 +261,6 @@ struct CompletionTrace {
   // final accumulators. Called by the recording run() at completion.
   void finalize(const model::InstanceView& view, std::span<const double> user_w,
                 std::span<const double> user_last_w);
-};
-
-// The Theorem 2.8 split's utilities alone (no Assignment built): w1 is
-// the "all but each user's last stream" side, w2 the "only the last
-// stream" side.
-struct SplitValues {
-  double w1 = 0.0;
-  double w2 = 0.0;
 };
 
 // The engine behind the plain and seeded greedy (public since PR 4 so the
@@ -246,24 +304,25 @@ class GreedyEngine {
   [[nodiscard]] GreedyResult take() &&;
 
   // The paper's capped utility of the current (partial) solution, under
-  // the view's utilities. Maintained incrementally; valid in any mode.
+  // the view's utilities, summed in pick order as the picks land —
+  // Algorithm 1's own objective (greedy-plain); the race scores the same
+  // solution through race_scores().capped. Valid in any mode.
   [[nodiscard]] double capped_utility() const noexcept {
     return result_.capped_utility;
   }
 
-  // Theorem 2.8 split scores of the current solution, from the engine's
-  // per-user accumulators: O(num_users), no edge lookups, no Assignment.
-  [[nodiscard]] SplitValues split_values() const;
+  // The race scores of the current solution, from the engine's per-user
+  // accumulators: O(num_users), no edge lookups, no Assignment.
+  [[nodiscard]] RaceScores race_scores() const;
 
   // Rebuilds the current (semi-feasible) assignment by replaying the
   // added streams against fresh residual caps — exact same pair set the
   // incremental bookkeeping would have produced. O(picks + pairs); meant
   // for scoring-mode callers materializing an incumbent.
   [[nodiscard]] model::Assignment materialize_assignment() const;
-  // Materializes one side of the Theorem 2.8 split (keep_rest = A1, else
-  // A2), peeling with the same per-user over-cap decisions as
-  // split_values().
-  [[nodiscard]] model::Assignment materialize_split(bool keep_rest) const;
+  // The race winner of the current solution (core::materialize_winner
+  // over materialize_assignment() and the engine's accumulators).
+  [[nodiscard]] model::Assignment materialize_winner(Winner winner) const;
 
   void save(GreedyCheckpoint& out) const;
   void restore(const GreedyCheckpoint& in);
@@ -329,15 +388,16 @@ class GreedyEngine {
     const model::Instance& inst);
 
 // Capped (surrogate) utility of `a` under the view: sum_u min(W_u, w_u)
-// with both W and w read from the view. Per-user sums run in assignment
-// order so the arithmetic is bit-identical to an incrementally maintained
-// accumulator.
+// with both W and w read from the view, recomputed from pair lookups —
+// the naive oracle the race's accumulators are tested against.
 [[nodiscard]] double view_capped_utility(const model::InstanceView& view,
                                          const model::Assignment& a);
 
 // Theorem 2.8's per-user peel of a semi-feasible assignment: A1(u) drops
 // the *last* stream assigned to u, A2(u) keeps only that stream. Both are
-// feasible and w(A1) + w(A2) >= w(A). Utilities are the view's.
+// feasible and w(A1) + w(A2) >= w(A). Utilities are the view's, summed
+// pair by pair — the naive oracle of race_scores() and
+// materialize_winner().
 struct FeasibleSplit {
   model::Assignment a1;
   model::Assignment a2;
@@ -349,33 +409,20 @@ struct FeasibleSplit {
 [[nodiscard]] FeasibleSplit split_last_stream(const model::Instance& inst,
                                               const model::Assignment& semi);
 
-// The split's utilities for an explicit assignment — same decisions, no
-// Assignment materialization. The §2.3 enumeration scores its
-// directly-evaluated (seed-only) candidates with this.
-[[nodiscard]] SplitValues split_last_stream_values(
-    const model::InstanceView& view, const model::Assignment& semi);
-// Materializes one side of the split (keep_rest = A1, else A2).
-[[nodiscard]] model::Assignment materialize_split(
-    const model::InstanceView& view, const model::Assignment& semi,
-    bool keep_rest);
-
-enum class SmdMode {
-  kFeasible,   // Theorem 2.8: feasible output, ratio 3e/(e-1)
-  kAugmented,  // Corollary 2.7: semi-feasible output, ratio 2e/(e-1)
-};
-
 struct SmdSolveResult {
   model::Assignment assignment;
   // Capped utility (== raw utility when the assignment is feasible),
   // valued by the view's (surrogate) utilities.
   double utility = 0.0;
-  // Which candidate won: "greedy", "A1", "A2" or "Amax".
+  // Which candidate won: winner_name() of the race winner.
   std::string variant;
   // Selection-kernel counters of the underlying greedy run(s).
   SelectStats select;
 };
 
-// The fixed greedy of Section 2.2 for unit-skew SMD instances / views.
+// The fixed greedy of Section 2.2 for unit-skew SMD instances / views:
+// Algorithm 1 in scoring mode, the race, and only the winner
+// materialized.
 [[nodiscard]] SmdSolveResult solve_unit_skew(
     const model::InstanceView& view, SmdMode mode = SmdMode::kFeasible,
     const GreedyOptions& opts = {});

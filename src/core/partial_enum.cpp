@@ -25,16 +25,20 @@ namespace {
 // Builds the semi-feasible assignment for a fixed stream set into `out`
 // (cleared first): streams are handed to users in the given order, each
 // user taking a stream while its residual cap is positive (the same
-// saturation rule as Algorithm 1). Returns the capped (surrogate)
-// utility.
-double assign_seed_only(const InstanceView& view,
-                        std::span<const StreamId> seeds, SolveWorkspace& ws,
-                        Assignment& out) {
+// saturation rule as Algorithm 1). Fills the workspace's per-user
+// accumulators exactly as the engine would, so the set is scored through
+// the same race; the engine's own state there is restored from a frame
+// before its next use.
+void assign_seed_only(const InstanceView& view,
+                      std::span<const StreamId> seeds, SolveWorkspace& ws,
+                      Assignment& out) {
   out.clear();
-  double capped = 0.0;
-  ws.rem.resize(view.num_users());
-  for (std::size_t u = 0; u < ws.rem.size(); ++u)
+  const std::size_t users = view.num_users();
+  ws.rem.resize(users);
+  for (std::size_t u = 0; u < users; ++u)
     ws.rem[u] = view.capacity(static_cast<UserId>(u));
+  ws.user_w.assign(users, 0.0);
+  ws.user_last_w.assign(users, 0.0);
   for (StreamId s : seeds) {
     for (EdgeId e = view.first_edge(s); e < view.last_edge(s); ++e) {
       const UserId u = view.edge_user(e);
@@ -42,75 +46,43 @@ double assign_seed_only(const InstanceView& view,
       const double w = view.edge_utility(e);
       if (ws.rem[uu] <= util::kAbsEps || w <= 0.0) continue;
       out.assign(u, s);
-      capped += std::min(w, ws.rem[uu]);
+      ws.user_w[uu] += w;
+      ws.user_last_w[uu] = w;
       ws.rem[uu] -= w;
     }
   }
-  return capped;
 }
 
-// Scores one candidate semi-feasible assignment under the requested mode
-// and keeps it if it beats the incumbent. Candidates are scored through
-// the values-only split first; an Assignment is materialized (copied)
-// only for a new incumbent.
+// The best candidate so far. Every candidate runs the full §2.2 race,
+// Amax included — the first offer (the plain greedy) therefore also
+// covers the single best stream, and later candidates can only win on
+// their greedy side. An Assignment is materialized only for a new
+// incumbent.
 class Incumbent {
  public:
-  Incumbent(const InstanceView& view, SmdMode mode)
-      : view_(view),
-        mode_(mode),
-        best_{Assignment(view.base()), -1.0, "none", {}} {}
+  Incumbent(SmdMode mode, double w_amax, const model::Instance& base)
+      : mode_(mode),
+        w_amax_(w_amax),
+        best_{Assignment(base), -1.0, "none", {}} {}
 
-  void offer(const Assignment& semi, double capped_utility) {
-    if (mode_ == SmdMode::kAugmented) {
-      if (capped_utility > best_.utility)
-        best_ = {semi, capped_utility, "greedy", {}};
-      return;
-    }
-    const SplitValues v = split_last_stream_values(view_, semi);
-    if (v.w1 >= v.w2) {
-      if (v.w1 > best_.utility)
-        best_ = {materialize_split(view_, semi, /*keep_rest=*/true), v.w1,
-                 "A1",
-                 {}};
-    } else if (v.w2 > best_.utility) {
-      best_ = {materialize_split(view_, semi, /*keep_rest=*/false), v.w2,
-               "A2",
-               {}};
-    }
+  // `materialize(Winner)` builds the candidate's winning assignment.
+  template <typename Materialize>
+  void offer(const RaceScores& scores, Materialize&& materialize) {
+    const RaceResult r = race(mode_, scores, w_amax_);
+    if (r.value > best_.utility)
+      best_ = {materialize(r.winner), r.value, winner_name(r.winner), {}};
   }
 
-  // The hot path: scores the engine's current completion through its
-  // O(num_users) accumulators and only materializes (replays) a new
-  // incumbent — no per-candidate Assignment is ever built.
   void offer_engine(const GreedyEngine& engine) {
-    if (mode_ == SmdMode::kAugmented) {
-      const double capped = engine.capped_utility();
-      if (capped > best_.utility)
-        best_ = {engine.materialize_assignment(), capped, "greedy", {}};
-      return;
-    }
-    const SplitValues v = engine.split_values();
-    if (v.w1 >= v.w2) {
-      if (v.w1 > best_.utility)
-        best_ = {engine.materialize_split(/*keep_rest=*/true), v.w1, "A1",
-                 {}};
-    } else if (v.w2 > best_.utility) {
-      best_ = {engine.materialize_split(/*keep_rest=*/false), v.w2, "A2",
-               {}};
-    }
-  }
-
-  void offer_single_best() {
-    Assignment amax = best_single_stream(view_);
-    const double w = view_capped_utility(view_, amax);
-    if (w > best_.utility) best_ = {std::move(amax), w, "Amax", {}};
+    offer(engine.race_scores(),
+          [&engine](Winner w) { return engine.materialize_winner(w); });
   }
 
   SmdSolveResult take() && { return std::move(best_); }
 
  private:
-  const InstanceView& view_;
   SmdMode mode_;
+  double w_amax_;
   SmdSolveResult best_;
 };
 
@@ -204,6 +176,7 @@ struct LeafBest {
 struct LeafCtx {
   const InstanceView& view;
   SmdMode mode;
+  double w_amax;
   GreedyEngine& engine;
   // Recording buffer when this walker records parent traces; for the
   // depth-1 parallel walk it aliases the shared root trace, which is
@@ -232,7 +205,7 @@ bool run_leaf_row(LeafCtx& ctx, const GreedyCheckpoint& frame,
       --*budget;
     }
     if (evaluated != nullptr) ++*evaluated;
-    SplitValues sv;
+    RaceScores scores;
     bool replayed = false;
     if (ctx.rep != nullptr) {
       if (!trace_ready) {
@@ -240,23 +213,17 @@ bool run_leaf_row(LeafCtx& ctx, const GreedyCheckpoint& frame,
         ctx.engine.run(ctx.trace);
         trace_ready = true;
       }
-      replayed = ctx.rep->score_child(frame, ctx.trace, s, &sv);
+      replayed = ctx.rep->score_child(frame, ctx.trace, s, &scores);
     }
-    double score;
-    if (replayed) {
-      score = sv.w1 >= sv.w2 ? sv.w1 : sv.w2;
-    } else {
+    // A replay fills only the split (w1, w2): it runs under kFeasible
+    // alone, whose race never reads `capped`.
+    if (!replayed) {
       ctx.engine.restore(frame);
       ctx.engine.add_seed(s);
       ctx.engine.run();
-      if (ctx.mode == SmdMode::kAugmented) {
-        score = ctx.engine.capped_utility();
-      } else {
-        sv = ctx.engine.split_values();
-        score = sv.w1 >= sv.w2 ? sv.w1 : sv.w2;
-      }
+      scores = ctx.engine.race_scores();
     }
-    ctx.best.offer(score, prefix, s);
+    ctx.best.offer(race(ctx.mode, scores, ctx.w_amax).value, prefix, s);
   }
   return true;
 }
@@ -271,7 +238,8 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
                        {},
                        0,
                        0};
-  Incumbent incumbent(view, opts.mode);
+  const double w_amax = amax_value(view);
+  Incumbent incumbent(opts.mode, w_amax, view.base());
 
   SolveWorkspace local;
   SolveWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : local;
@@ -319,8 +287,7 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
   } else {
     engine.run();
   }
-  incumbent.offer_engine(engine);
-  incumbent.offer_single_best();
+  incumbent.offer_engine(engine);  // with Amax: the first two candidates
   out.candidates_evaluated = 2;
 
   std::size_t candidate_budget = opts.max_candidates;
@@ -332,8 +299,12 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
         view, k,
         [&](std::span<const StreamId> set) {
           ++out.candidates_evaluated;
-          const double capped = assign_seed_only(view, set, ws, seed_scratch);
-          incumbent.offer(seed_scratch, capped);
+          assign_seed_only(view, set, ws, seed_scratch);
+          incumbent.offer(race_scores(view, ws.user_w, ws.user_last_w),
+                          [&](Winner w) {
+                            return materialize_winner(view, w, seed_scratch,
+                                                      ws.user_w);
+                          });
         },
         candidate_budget);
   }
@@ -396,9 +367,8 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
             // Depth 1: every worker replays against the shared
             // pre-recorded root trace (read-only). Deeper: each worker
             // records its own parents, exactly once per parent.
-            LeafCtx tctx{view,  opts.mode,
-                         teng,  depth == 1 ? trace : ttrace,
-                         trep.get(), wo.best};
+            LeafCtx tctx{view, opts.mode, w_amax, teng,
+                         depth == 1 ? trace : ttrace, trep.get(), wo.best};
             std::vector<StreamId> tprefix;
             auto tdfs = [&](auto&& self, int level, StreamId start,
                             double cost) -> bool {
@@ -462,7 +432,7 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
         }
       }
     } else {
-      LeafCtx ctx{view, opts.mode, engine, trace, rep.get(), best};
+      LeafCtx ctx{view, opts.mode, w_amax, engine, trace, rep.get(), best};
       std::vector<StreamId> prefix;
       auto dfs = [&](auto&& self, int level, StreamId start,
                      double cost) -> bool {

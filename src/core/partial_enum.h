@@ -19,11 +19,14 @@
 // saves one frame per enumeration level — a candidate {s1, s2, s3}
 // restores the {s1, s2} frame and only pays add_seed(s3) plus its own
 // greedy completion, instead of rebuilding the engine and re-adding every
-// seed from zero. Candidates are further scored through the
-// values-only last-stream split (core/greedy.h), materializing an
-// assignment only when it beats the incumbent. The enumeration order and
-// every comparison are unchanged from the from-scratch formulation, so
-// results are pick-for-pick identical; only the work is shared.
+// seed from zero. Every candidate — engine completion, replayed
+// completion or seed-only set — is scored from its per-user accumulators
+// through the same §2.2 race as solve_unit_skew (core/greedy.h),
+// materializing an assignment only when it beats the incumbent; depth 0
+// therefore returns solve_unit_skew's result bit for bit. The enumeration
+// order and every comparison are unchanged from the from-scratch
+// formulation, so results are pick-for-pick identical; only the work is
+// shared.
 //
 // Running time is O(|S|^seed_size) greedy completions — polynomial but
 // heavy; intended for moderate instance sizes (the paper's point is the

@@ -533,7 +533,7 @@ StreamId ReplayContext::full_scan_exact() {
 
 bool ReplayContext::score_child(const GreedyCheckpoint& frame,
                                 const CompletionTrace& trace, StreamId extra,
-                                SplitValues* out) {
+                                RaceScores* out) {
   ++stats_.attempts;
   frame_ = &frame;
   trace_ = &trace;
@@ -777,11 +777,11 @@ bool ReplayContext::score_child(const GreedyCheckpoint& frame,
   }
   cursor_stop_ = i;
 
-  // Exact Theorem 2.8 split (GreedyEngine::split_values, same order and
-  // arithmetic): dirty users from the tracked child accumulators, clean
-  // users from the parent's recorded per-user contributions (full
-  // consume) or a timeline cut.
-  SplitValues v{};
+  // Exact Theorem 2.8 split (race_scores(), same order and arithmetic):
+  // dirty users from the tracked child accumulators, clean users from the
+  // parent's recorded per-user contributions (full consume) or a
+  // timeline cut.
+  RaceScores v{};
   const bool full = cursor_stop_ >= n;
   if (full) {
     const double* const w1a = trace.final_w1_add.data();
@@ -791,10 +791,8 @@ bool ReplayContext::score_child(const GreedyCheckpoint& frame,
         const double w = c_uw_[uu];
         const double last = c_ulw_[uu];
         if (last <= 0.0) continue;  // never assigned
+        v.w1 += a1_share(w, last, view_->capacity(static_cast<UserId>(uu)));
         v.w2 += last;
-        const bool over_cap =
-            !approx_le(w, view_->capacity(static_cast<UserId>(uu)));
-        v.w1 += over_cap ? w - last : w;
       } else {
         // Recorded contributions are the identical two adds the per-user
         // recomputation would perform (+0.0 for never-assigned users,
@@ -824,10 +822,8 @@ bool ReplayContext::score_child(const GreedyCheckpoint& frame,
         }
       }
       if (last <= 0.0) continue;  // never assigned
+      v.w1 += a1_share(w, last, view_->capacity(static_cast<UserId>(uu)));
       v.w2 += last;
-      const bool over_cap =
-          !approx_le(w, view_->capacity(static_cast<UserId>(uu)));
-      v.w1 += over_cap ? w - last : w;
     }
   }
   *out = v;

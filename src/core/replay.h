@@ -54,8 +54,8 @@
 // bit-exact (tie gathers, recorded values, accumulators) keeps the
 // engine's arithmetic verbatim.
 //
-// A successful replay yields bit-identical SplitValues to the engine run
-// it replaced; the enumeration's differential suites (enum ==
+// A successful replay yields a bit-identical split to the engine run it
+// replaced; the enumeration's differential suites (enum ==
 // from-scratch) exercise exactly this claim.
 #pragma once
 
@@ -84,11 +84,13 @@ class ReplayContext {
 
   // Scores the completion of (frame's seeds + extra) by replaying
   // `trace` (the parent completion recorded from `frame`). On success
-  // returns true and fills `out` with split values bit-identical to a
-  // real engine completion; on false the caller must run the engine.
+  // returns true and fills `out`'s Theorem 2.8 split (w1, w2 — the
+  // feasible-mode race inputs; `capped` stays 0) bit-identical to
+  // GreedyEngine::race_scores() after a real engine completion; on false
+  // the caller must run the engine.
   [[nodiscard]] bool score_child(const GreedyCheckpoint& frame,
                                  const CompletionTrace& trace,
-                                 model::StreamId extra, SplitValues* out);
+                                 model::StreamId extra, RaceScores* out);
 
   [[nodiscard]] const ReplayStats& stats() const noexcept { return stats_; }
 

@@ -227,13 +227,7 @@ SolveOutcome run_serve(const SolveRequest& req) {
     // Judge feasibility against the world the session actually serves —
     // the event-churned state — not the pre-churn parent, whose caps
     // and utilities the trace has since moved.
-    const model::Instance snapshot = session.snapshot();
-    model::Assignment on_snapshot(snapshot);
-    for (std::size_t u = 0; u < snapshot.num_users(); ++u)
-      for (const model::StreamId s :
-           out.assignment.streams_of(static_cast<model::UserId>(u)))
-        on_snapshot.assign(static_cast<model::UserId>(u), s);
-    const model::ValidationReport report = model::validate(on_snapshot);
+    const model::ValidationReport report = session.validate_on_snapshot();
     out.feasibility = report.feasibility;
     out.stats["violations"] =
         static_cast<double>(report.violations.size());

@@ -1,7 +1,7 @@
 #include "engine/repair_core.h"
 
 #include <algorithm>
-#include <string>
+#include <utility>
 
 #include "util/float_cmp.h"
 #include "util/hotpath.h"
@@ -18,32 +18,6 @@ using util::kAbsEps;
 namespace {
 
 [[nodiscard]] double clamp0(double x) noexcept { return x > 0.0 ? x : 0.0; }
-
-// Lemma 2.6's Amax: the first stream of maximal effective total, valued
-// as sum_u min(W_u, w_us) over its live pairs.
-[[nodiscard]] double amax_value(const WorldRef& w) noexcept {
-  StreamId best = model::kInvalidStream;
-  double best_total = -1.0;
-  for (std::size_t ss = 0; ss < w.num_streams(); ++ss) {
-    const double total = w.total_utility[ss];
-    if (total > best_total) {
-      best_total = total;
-      best = static_cast<StreamId>(ss);
-    }
-  }
-  double w_amax = 0.0;
-  if (best != model::kInvalidStream && best_total > 0.0) {
-    const model::Instance& inst = *w.base;
-    for (model::EdgeId e = inst.first_edge(best); e < inst.last_edge(best);
-         ++e) {
-      const double wv = w.edge_utility[static_cast<std::size_t>(e)];
-      if (wv > 0.0)
-        w_amax += std::min(
-            w.capacity[static_cast<std::size_t>(inst.edge_user(e))], wv);
-    }
-  }
-  return w_amax;
-}
 
 }  // namespace
 
@@ -274,49 +248,20 @@ std::size_t RepairCore::run_completion(const WorldRef& w, const Context& ctx,
   return added;
 }
 
-double RepairCore::winner_objective(const WorldRef& w, core::SmdMode mode,
-                                    const char** variant) const {
-  // The greedy's capped utility and its Theorem 2.8 split, in user order.
-  double capped = 0.0;
-  core::SplitValues split;
-  for (std::size_t uu = 0; uu < w.num_users(); ++uu) {
-    const double wv = user_w_[uu];
-    if (wv <= 0.0) continue;
-    const double cap = w.capacity[uu];
-    capped += std::min(cap, wv);
-    const double last = user_last_w_[uu];
-    if (last <= 0.0) continue;
-    split.w2 += last;
-    split.w1 += !approx_le(wv, cap) ? wv - last : wv;
-  }
-
-  const double w_amax = amax_value(w);
-  if (mode == core::SmdMode::kAugmented) {
-    if (capped >= w_amax) {
-      *variant = "greedy";
-      return capped;
-    }
-    *variant = "Amax";
-    return w_amax;
-  }
-  if (split.w1 >= split.w2 && split.w1 >= w_amax) {
-    *variant = "A1";
-    return split.w1;
-  }
-  if (split.w2 >= w_amax) {
-    *variant = "A2";
-    return split.w2;
-  }
-  *variant = "Amax";
-  return w_amax;
+core::RaceResult RepairCore::race(const WorldRef& w,
+                                  core::SmdMode mode) const {
+  const model::InstanceView view = w.view();
+  return core::race(mode, core::race_scores(view, user_w_, user_last_w_),
+                    core::amax_value(view));
 }
 
-model::Assignment RepairCore::build_semi(const WorldRef& w) const {
+model::Assignment RepairCore::winner_assignment(const WorldRef& w,
+                                                core::Winner winner) const {
   model::Assignment semi(*w.base);
   for (std::size_t uu = 0; uu < assigned_.size(); ++uu)
     for (const StreamId s : assigned_[uu])
       semi.assign(static_cast<UserId>(uu), s);
-  return semi;
+  return core::materialize_winner(w.view(), winner, std::move(semi), user_w_);
 }
 
 RepairCore::PreEvent RepairCore::pre_event(const WorldRef& w,
@@ -443,22 +388,8 @@ double fresh_winner_objective(const WorldRef& w, const RepairCore::Context& ctx,
   core::GreedyEngine engine(view, *ctx.workspace, gopts);
   engine.run();
   select.merge(engine.result().select);
-  const core::SplitValues split = engine.split_values();
-  const double w_amax = amax_value(w);
-  if (ctx.mode == core::SmdMode::kAugmented)
-    return std::max(engine.capped_utility(), w_amax);
-  return std::max({split.w1, split.w2, w_amax});
-}
-
-model::Assignment materialize_winner(const model::InstanceView& view,
-                                     model::Assignment semi,
-                                     const char* variant) {
-  const std::string v = variant;
-  if (v == "greedy") return semi;
-  if (v == "A1") return core::materialize_split(view, semi, /*keep_rest=*/true);
-  if (v == "A2")
-    return core::materialize_split(view, semi, /*keep_rest=*/false);
-  return core::best_single_stream(view);
+  return core::race(ctx.mode, engine.race_scores(), core::amax_value(view))
+      .value;
 }
 
 }  // namespace vdist::engine

@@ -84,12 +84,14 @@ class RepairCore {
                   const PreEvent& pre, const Context& ctx,
                   core::SelectStats& select, RepairStats& stats);
 
-  // The race value of the maintained state; sets *variant to the winner.
-  [[nodiscard]] double winner_objective(const WorldRef& w, core::SmdMode mode,
-                                        const char** variant) const;
+  // The §2.2 race over the maintained state's per-user accumulators.
+  [[nodiscard]] core::RaceResult race(const WorldRef& w,
+                                      core::SmdMode mode) const;
 
-  // The maintained semi-feasible assignment (the race's greedy input).
-  [[nodiscard]] model::Assignment build_semi(const WorldRef& w) const;
+  // A race winner of the maintained state as an Assignment (built from
+  // the maintained semi-feasible assignment; core::materialize_winner).
+  [[nodiscard]] model::Assignment winner_assignment(const WorldRef& w,
+                                                    core::Winner winner) const;
 
  private:
   [[nodiscard]] std::size_t run_completion(const WorldRef& w,
@@ -122,15 +124,10 @@ class RepairCore {
 };
 
 // From-scratch §2.2 winner value of the world (scoring mode, no
-// assignment build) — the drift-check yardstick.
+// assignment build) — the drift-check yardstick. Bit-equal to
+// solve_unit_skew of the materialized world: same engine, same race.
 [[nodiscard]] double fresh_winner_objective(const WorldRef& w,
                                             const RepairCore::Context& ctx,
                                             core::SelectStats& select);
-
-// The race winner as a concrete Assignment: the semi-feasible greedy
-// solution itself, one side of the Theorem 2.8 split, or Amax.
-[[nodiscard]] model::Assignment materialize_winner(
-    const model::InstanceView& view, model::Assignment semi,
-    const char* variant);
 
 }  // namespace vdist::engine

@@ -91,4 +91,10 @@ ServeConfig ServeConfig::from_options(const SolveOptions& opts) {
   return cfg;
 }
 
+void ServeConfig::align_refresh(std::size_t every) {
+  if (every == 0 || policy != ServePolicy::kRepair) return;
+  const auto gate = static_cast<int>(every);
+  if (refresh <= 0 || gate % refresh != 0) refresh = gate;
+}
+
 }  // namespace vdist::engine

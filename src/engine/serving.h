@@ -109,6 +109,12 @@ struct ServeConfig : SessionOptions {
   // registry's / CLI's strict-mode concern; bad values throw
   // std::invalid_argument here, with the same message everywhere).
   [[nodiscard]] static ServeConfig from_options(const SolveOptions& opts);
+
+  // kRepair's bound is guaranteed at its own drift checks, so a gate
+  // measuring every `every` events (serve --check, compete --every) must
+  // land on one: a refresh that divides `every` already does, anything
+  // else becomes `every`. No-op for other policies and every == 0.
+  void align_refresh(std::size_t every);
 };
 
 // What Session::check_parity() found: the maintained objective vs a

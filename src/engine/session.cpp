@@ -69,6 +69,28 @@ RepairStats Session::apply(const InstanceEvent& event) {
   return stats;
 }
 
+const char* Session::variant() const noexcept {
+  switch (opts_.policy) {
+    case ServePolicy::kRepair:
+      return core::winner_name(winner_);
+    case ServePolicy::kResolve:
+      return resolved_->variant.c_str();
+    case ServePolicy::kOnline:
+      break;
+  }
+  return "online";
+}
+
+model::ValidationReport Session::validate_on_snapshot() {
+  const model::Instance snap = snapshot();
+  model::Assignment on_snapshot(snap);
+  const model::Assignment& a = assignment();
+  for (std::size_t u = 0; u < snap.num_users(); ++u)
+    for (const StreamId s : a.streams_of(static_cast<UserId>(u)))
+      on_snapshot.assign(static_cast<UserId>(u), s);
+  return model::validate(on_snapshot);
+}
+
 ParityReport Session::check_parity() {
   ParityReport rep;
   rep.current = objective_;
@@ -105,10 +127,6 @@ void Session::resolve_apply() {
   gopts.record_trace = false;
   resolved_ = core::solve_unit_skew(view, opts_.mode, gopts);
   objective_ = resolved_->utility;
-  variant_ = resolved_->variant == "greedy"  ? "greedy"
-             : resolved_->variant == "A1"    ? "A1"
-             : resolved_->variant == "A2"    ? "A2"
-                                             : "Amax";
   select_.merge(resolved_->select);
   ++counters_.full_resolves;
 }
@@ -117,8 +135,14 @@ void Session::resolve_apply() {
 
 void Session::full_resolve_repair() {
   repair_.resolve(world(), repair_context(), select_);
-  objective_ = repair_.winner_objective(world(), opts_.mode, &variant_);
+  race_repair();
   ++counters_.full_resolves;
+}
+
+void Session::race_repair() {
+  const core::RaceResult won = repair_.race(world(), opts_.mode);
+  objective_ = won.value;
+  winner_ = won.winner;
 }
 
 double Session::fresh_objective() {
@@ -161,7 +185,7 @@ void Session::repair_apply(const InstanceEvent& event, RepairStats& stats) {
 
   stats.action = RepairAction::kLocalRepair;
   ++counters_.local_repairs;
-  objective_ = repair_.winner_objective(world(), opts_.mode, &variant_);
+  race_repair();
 
   if (opts_.refresh > 0 &&
       counters_.events % static_cast<std::size_t>(opts_.refresh) == 0) {
@@ -188,7 +212,6 @@ void Session::online_open() {
     if (overlay_.stream_alive(static_cast<StreamId>(s)))
       online_offer(static_cast<StreamId>(s), ignored);
   objective_ = online_objective();
-  variant_ = "online";
 }
 
 void Session::online_offer(StreamId s, RepairStats& stats) {
@@ -319,10 +342,8 @@ const model::Assignment& Session::assignment() {
     case ServePolicy::kRepair:
       break;
   }
-  // kRepair: build the maintained semi-feasible assignment, then hand
-  // back the same race winner objective() reflects.
-  assignment_ = materialize_winner(overlay_.view(),
-                                   repair_.build_semi(world()), variant_);
+  // kRepair: the same race winner objective() reflects.
+  assignment_ = repair_.winner_assignment(world(), winner_);
   return *assignment_;
 }
 

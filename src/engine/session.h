@@ -51,6 +51,7 @@
 #include "engine/serving.h"
 #include "model/events.h"
 #include "model/overlay.h"
+#include "model/validate.h"
 
 namespace vdist::engine {
 
@@ -93,8 +94,8 @@ class Session {
     return select_;
   }
   // Which race candidate objective() reflects ("greedy", "A1", "A2",
-  // "Amax", or "online").
-  [[nodiscard]] const char* variant() const noexcept { return variant_; }
+  // "Amax", or "online"). Valid until the next apply().
+  [[nodiscard]] const char* variant() const noexcept;
 
   // From-scratch §2.2 winner value of the *current* overlay state
   // (scoring mode, no assignment). The parity yardstick for any policy,
@@ -107,6 +108,10 @@ class Session {
   [[nodiscard]] model::Instance snapshot() const {
     return overlay_.materialize();
   }
+  // The maintained assignment re-accounted on snapshot() — caps and
+  // utilities as the session serves them now, not the parent's — and
+  // validated there.
+  [[nodiscard]] model::ValidationReport validate_on_snapshot();
   // Solves snapshot() from scratch and compares: kResolve demands
   // bit-equality, kRepair drift within bound (+1e-9 slack), kOnline is
   // trivially ok (Allocate's competitiveness is not a per-event bound).
@@ -133,6 +138,8 @@ class Session {
   // --- kRepair internals -------------------------------------------------
   void repair_apply(const model::InstanceEvent& event, RepairStats& stats);
   void full_resolve_repair();
+  // Sets objective_ and winner_ from the repair core's race.
+  void race_repair();
   // --- kResolve internals ------------------------------------------------
   void resolve_apply();
   // --- kOnline internals -------------------------------------------------
@@ -153,7 +160,7 @@ class Session {
   // kRepair state (engine/repair_core.h), session-owned so fresh scoring
   // solves can share the workspace without clobbering it.
   RepairCore repair_;
-  const char* variant_ = "";  // which race candidate objective_ reflects
+  core::Winner winner_ = core::Winner::kGreedy;  // what objective_ reflects
 
   // kResolve state.
   std::optional<core::SmdSolveResult> resolved_;

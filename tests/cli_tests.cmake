@@ -243,6 +243,20 @@ foreach(policy repair resolve online)
     message(FATAL_ERROR "serve JSON missing timeline:\n${serve_json}")
   endif()
 endforeach()
+# --mode augmented serves the Corollary 2.7 winner, semi-feasible by
+# definition (solve --algo greedy-augmented reports feasible=NO on this
+# world too): --check gates it on the server budget only, and both greedy
+# policies keep their parity contract.
+foreach(policy repair resolve)
+  run_cli(0 serve "${_repo_root}/bench/traces/serve_smoke.vd"
+          --events "${_repo_root}/bench/traces/serve_smoke.events"
+          --policy ${policy} --mode augmented --check 1
+          --json "${WORK_DIR}/serve-augmented-${policy}.json")
+  file(READ "${WORK_DIR}/serve-augmented-${policy}.json" serve_json)
+  if(NOT serve_json MATCHES "\"variant\":\"(greedy|Amax)\"")
+    message(FATAL_ERROR "augmented serve variant is not greedy/Amax:\n${serve_json}")
+  endif()
+endforeach()
 # serve consumes every flag itself and needs its inputs.
 run_cli(1 serve "${WORK_DIR}/cap.vd" --events "${WORK_DIR}/cap.events"
         --polcy repair)

@@ -9,6 +9,7 @@
 #include "assignment_pairs.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -102,9 +103,9 @@ TEST(GreedyCheckpoint, MidRunFrameSharesThePrefix) {
   EXPECT_EQ(pairs(engine.result().assignment), pairs(fresh_29.assignment));
 }
 
-// Scoring mode (build_assignment = false): the accumulator-backed split
-// values and the replay materializers must equal what the bookkeeping
-// path computes.
+// Scoring mode (build_assignment = false): the accumulator-backed race
+// scores and the winner materializers must equal what the bookkeeping
+// path and the naive pair-lookup split compute.
 TEST(GreedyCheckpoint, ScoringModeMatchesMaterializingMode) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     const Instance inst = cap_scenario(seed, 45, 14, 0.35);
@@ -121,16 +122,23 @@ TEST(GreedyCheckpoint, ScoringModeMatchesMaterializingMode) {
     EXPECT_EQ(pairs(engine.materialize_assignment()),
               pairs(reference.assignment));
 
-    const SplitValues values = engine.split_values();
+    const RaceScores scores = engine.race_scores();
     const FeasibleSplit split = split_last_stream(inst, reference.assignment);
     // Same decisions; the accumulator arithmetic may differ by rounding.
-    EXPECT_TRUE(util::approx_eq(values.w1, split.w1)) << seed;
-    EXPECT_TRUE(util::approx_eq(values.w2, split.w2)) << seed;
-    EXPECT_EQ(pairs(engine.materialize_split(/*keep_rest=*/true)),
-              pairs(split.a1))
+    EXPECT_TRUE(util::approx_eq(scores.w1, split.w1)) << seed;
+    EXPECT_TRUE(util::approx_eq(scores.w2, split.w2)) << seed;
+    EXPECT_TRUE(util::approx_eq(
+        scores.capped, view_capped_utility(view, reference.assignment)))
         << seed;
-    EXPECT_EQ(pairs(engine.materialize_split(/*keep_rest=*/false)),
-              pairs(split.a2))
+    EXPECT_EQ(pairs(engine.materialize_winner(Winner::kA1)), pairs(split.a1))
+        << seed;
+    EXPECT_EQ(pairs(engine.materialize_winner(Winner::kA2)), pairs(split.a2))
+        << seed;
+    EXPECT_EQ(pairs(engine.materialize_winner(Winner::kGreedy)),
+              pairs(reference.assignment))
+        << seed;
+    EXPECT_EQ(pairs(engine.materialize_winner(Winner::kAmax)),
+              pairs(best_single_stream(inst)))
         << seed;
   }
 }
@@ -150,7 +158,11 @@ SmdSolveResult reference_partial_enum(const Instance& inst, int seed_size,
   };
   auto offer = [&](GreedyResult&& g) {
     if (mode == SmdMode::kAugmented) {
-      consider(std::move(g.assignment), g.capped_utility, "greedy");
+      // Per-user capped sums in user order: the race's arithmetic, so
+      // candidates that tie exactly (every user saturated) tie in bits
+      // too and the first in enumeration order keeps the incumbent.
+      const double capped = view_capped_utility(view, g.assignment);
+      consider(std::move(g.assignment), capped, "greedy");
       return;
     }
     FeasibleSplit split = split_last_stream(inst, g.assignment);
@@ -234,15 +246,38 @@ TEST(PartialEnumCheckpointed, MatchesFromScratchReference) {
   }
 }
 
-// Depth 0 degenerates to best-of(plain greedy, Amax) exactly as before.
+// Depth 0 degenerates to best-of(plain greedy, Amax): both paths run
+// the one §2.2 race, so the enumeration returns solve_unit_skew's
+// result bit for bit — objective, variant and pair set — in both modes
+// on every registered unit-skew scenario.
 TEST(PartialEnumCheckpointed, DepthZeroDegeneratesToFixedGreedy) {
-  const Instance inst = cap_scenario(4, 30, 10, 0.4);
-  PartialEnumOptions opts;
-  opts.seed_size = 0;
-  const PartialEnumResult r = partial_enum_unit_skew(inst, opts);
-  EXPECT_EQ(r.candidates_evaluated, 2u);
-  const SmdSolveResult fixed = solve_unit_skew(inst);
-  EXPECT_TRUE(util::approx_eq(r.best.utility, fixed.utility));
+  const auto& registry = engine::ScenarioRegistry::global();
+  std::size_t covered = 0;
+  for (const std::string& name : registry.names()) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      ScenarioSpec spec;
+      spec.name = name;
+      spec.seed = seed;
+      const Instance inst = registry.build(spec);
+      if (!inst.is_smd() || !inst.is_unit_skew()) continue;
+      for (const SmdMode mode : {SmdMode::kFeasible, SmdMode::kAugmented}) {
+        const std::string where = name + " seed " + std::to_string(seed) +
+                                  (mode == SmdMode::kFeasible ? " feasible"
+                                                              : " augmented");
+        PartialEnumOptions opts;
+        opts.seed_size = 0;
+        opts.mode = mode;
+        const PartialEnumResult r = partial_enum_unit_skew(inst, opts);
+        EXPECT_EQ(r.candidates_evaluated, 2u) << where;
+        const SmdSolveResult fixed = solve_unit_skew(inst, mode);
+        EXPECT_EQ(r.best.utility, fixed.utility) << where;
+        EXPECT_EQ(r.best.variant, fixed.variant) << where;
+        EXPECT_EQ(pairs(r.best.assignment), pairs(fixed.assignment)) << where;
+        ++covered;
+      }
+    }
+  }
+  EXPECT_GE(covered, 2u * 10u * 3u);  // >= 3 unit-skew scenarios
 }
 
 // The candidate safety valve still truncates the walk.

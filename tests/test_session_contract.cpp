@@ -29,7 +29,6 @@
 #include "engine/scenario.h"
 #include "gen/events.h"
 #include "gen/random_instances.h"
-#include "model/validate.h"
 #include "workload/workload.h"
 
 namespace vdist::engine {
@@ -74,15 +73,6 @@ std::set<std::pair<UserId, StreamId>> pair_set(Session& session) {
   return pairs;
 }
 
-// The maintained assignment re-built on the materialized snapshot, where
-// model::validate can judge it against the current world.
-bool feasible_on_snapshot(Session& session) {
-  const Instance snap = session.snapshot();
-  model::Assignment on_snapshot(snap);
-  for (const auto& [u, s] : pair_set(session)) on_snapshot.assign(u, s);
-  return model::validate(on_snapshot).feasible();
-}
-
 // --- Per family and policy ---------------------------------------------
 
 struct FamilyCase {
@@ -100,9 +90,20 @@ TEST_P(SessionFamilyTest, ContractHoldsAfterEveryEvent) {
   SessionOptions opts = with_policy(fc.policy);
   opts.refresh = 1;  // repair self-corrects at every event
   Session session(inst, opts);
+  // A repair session's full resolves rebuild the greedy from scratch and
+  // score it through the same race as a one-shot solve: bit-equal.
+  const auto expect_resolve_matches_a_solve = [&session](std::size_t step) {
+    ASSERT_EQ(session.objective(),
+              core::solve_unit_skew(session.snapshot()).utility)
+        << "after " << step << " events";
+  };
+  if (fc.policy == ServePolicy::kRepair) expect_resolve_matches_a_solve(0);
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const RepairStats stats = session.apply(trace[i]);
     ASSERT_EQ(stats.objective, session.objective()) << "event " << i;
+    if (fc.policy == ServePolicy::kRepair &&
+        stats.action == RepairAction::kFullResolve)
+      expect_resolve_matches_a_solve(i + 1);
     const ParityReport parity = session.check_parity();
     ASSERT_TRUE(parity.ok) << parity.detail << " at event " << i;
     ASSERT_EQ(parity.current, session.objective()) << "event " << i;
@@ -114,7 +115,7 @@ TEST_P(SessionFamilyTest, ContractHoldsAfterEveryEvent) {
                 session.snapshot().utility_upper_bound() + 1e-9)
           << "event " << i;
     } else {
-      ASSERT_TRUE(feasible_on_snapshot(session)) << "event " << i;
+      ASSERT_TRUE(session.validate_on_snapshot().feasible()) << "event " << i;
     }
   }
   EXPECT_EQ(session.counters().events, trace.size());
@@ -218,27 +219,69 @@ TEST(SessionContract, RefreshSetsTheDriftCheckCadence) {
   }
 }
 
+// Each user's assigned streams in assignment order.
+std::vector<std::vector<StreamId>> ordered_streams(
+    const model::Assignment& a, std::size_t users) {
+  std::vector<std::vector<StreamId>> out(users);
+  for (std::size_t u = 0; u < users; ++u) {
+    const auto streams = a.streams_of(static_cast<UserId>(u));
+    out[u].assign(streams.begin(), streams.end());
+  }
+  return out;
+}
+
+// With no tolerance every measured drift escalates, in either mode. The
+// maintained and the fresh objective run one race over per-user
+// accumulators, so identical solutions score identical bits: a drift
+// below 1e-9 can only come from a repaired solution that holds the fresh
+// solution's very pairs in another per-user order (the accumulators sum
+// in assignment order). The second session, whose bound lets such drifts
+// stand, checks exactly that at every one of them.
 TEST(SessionContract, ZeroBoundEscalatesEveryMeasuredDrift) {
   const Instance inst = cap_instance(41, 40, 16);
-  SessionOptions opts = with_policy(ServePolicy::kRepair);
-  opts.refresh = 1;
-  opts.bound = 0.0;
-  Session session(inst, opts);
-  std::size_t escalations = 0;
-  for (const InstanceEvent& event : churn(inst, 19, 80)) {
-    const RepairStats stats = session.apply(event);
-    ASSERT_TRUE(stats.drift_checked);
-    if (stats.action == RepairAction::kFullResolve) {
-      ++escalations;
-      EXPECT_GT(stats.drift, 0.0);
-    } else {
-      EXPECT_LE(stats.drift, 0.0);
+  const auto trace = churn(inst, 19, 80);
+  for (const core::SmdMode mode :
+       {core::SmdMode::kFeasible, core::SmdMode::kAugmented}) {
+    SessionOptions opts = with_policy(ServePolicy::kRepair);
+    opts.refresh = 1;
+    opts.bound = 0.0;
+    opts.mode = mode;
+    Session session(inst, opts);
+    std::size_t escalations = 0;
+    for (const InstanceEvent& event : trace) {
+      const RepairStats stats = session.apply(event);
+      ASSERT_TRUE(stats.drift_checked);
+      if (stats.action == RepairAction::kFullResolve) {
+        ++escalations;
+        EXPECT_GT(stats.drift, 0.0);
+      } else {
+        EXPECT_LE(stats.drift, 0.0);
+      }
+      // With no tolerance the maintained value never trails a fresh solve.
+      const ParityReport parity = session.check_parity();
+      ASSERT_TRUE(parity.ok) << parity.detail;
     }
-    // With no tolerance the maintained value never trails a fresh solve.
-    const ParityReport parity = session.check_parity();
-    ASSERT_TRUE(parity.ok) << parity.detail;
+    EXPECT_EQ(session.counters().full_resolves, escalations + 1);
+
+    opts.bound = 1e-9;
+    Session lenient(inst, opts);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const RepairStats stats = lenient.apply(trace[i]);
+      if (!(stats.drift > 0.0 && stats.drift < 1e-9)) continue;
+      const Instance snap = lenient.snapshot();
+      const core::SmdSolveResult fresh = core::solve_unit_skew(snap, mode);
+      std::set<std::pair<UserId, StreamId>> fresh_pairs;
+      for (std::size_t u = 0; u < snap.num_users(); ++u)
+        for (const StreamId s :
+             fresh.assignment.streams_of(static_cast<UserId>(u)))
+          fresh_pairs.emplace(static_cast<UserId>(u), s);
+      ASSERT_EQ(pair_set(lenient), fresh_pairs) << "event " << i;
+      ASSERT_NE(ordered_streams(lenient.assignment(), snap.num_users()),
+                ordered_streams(fresh.assignment, snap.num_users()))
+          << "identical solutions drifted by " << stats.drift << " at event "
+          << i;
+    }
   }
-  EXPECT_EQ(session.counters().full_resolves, escalations + 1);
 }
 
 // --- Parity reports -----------------------------------------------------
@@ -262,24 +305,27 @@ TEST(SessionContract, CheckParityReportsTheDriftItMeasured) {
 }
 
 // fresh_objective() scores the live world through the repair core, while
-// check_parity() solves the materialized snapshot; the two pick the same
-// winner and differ at most in the summation order of its value.
+// check_parity() solves the materialized snapshot; both run the same
+// engine and the same race, so they agree bit for bit.
 TEST(SessionContract, FreshObjectiveMatchesASolveOfTheSnapshot) {
   const Instance inst = cap_instance(47);
-  SessionOptions opts = with_policy(ServePolicy::kRepair);
-  opts.refresh = 0;
-  Session session(inst, opts);
-  const auto expect_match = [&session](std::size_t step) {
-    const double fresh = session.fresh_objective();
-    const double solved = core::solve_unit_skew(session.snapshot()).utility;
-    ASSERT_NEAR(fresh, solved, 1e-12 * std::max(solved, 1.0))
-        << "after " << step << " events";
-  };
-  expect_match(0);
   const auto trace = churn(inst, 31, 30);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    session.apply(trace[i]);
-    expect_match(i + 1);
+  for (const core::SmdMode mode :
+       {core::SmdMode::kFeasible, core::SmdMode::kAugmented}) {
+    SessionOptions opts = with_policy(ServePolicy::kRepair);
+    opts.refresh = 0;
+    opts.mode = mode;
+    Session session(inst, opts);
+    const auto expect_match = [&session, mode](std::size_t step) {
+      ASSERT_EQ(session.fresh_objective(),
+                core::solve_unit_skew(session.snapshot(), mode).utility)
+          << "after " << step << " events";
+    };
+    expect_match(0);
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      session.apply(trace[i]);
+      expect_match(i + 1);
+    }
   }
 }
 
@@ -497,7 +543,7 @@ TEST(SessionContract, ZeroCapacityDropsTheUsersPairs) {
     session.apply(zero);
     EXPECT_TRUE(session.assignment().streams_of(u).empty())
         << to_string(policy);
-    EXPECT_TRUE(feasible_on_snapshot(session)) << to_string(policy);
+    EXPECT_TRUE(session.validate_on_snapshot().feasible()) << to_string(policy);
   }
 }
 

@@ -400,7 +400,9 @@ int cmd_gen_events(const Args& args) {
 // objective-over-time as JSON. --check N compares the session against a
 // from-scratch solve every N events: the resolve policy must match the
 // fresh objective bit-exactly, the repair policy must stay within
-// --bound; a violation exits 4.
+// --bound; the final assignment must be feasible on the served world
+// (server budget only under online or --mode augmented); a violation
+// exits 4.
 int cmd_serve(const Args& args) {
   // Flags are ServeConfig's declared keys — minus the registry-only
   // trace-derivation knobs (events here names the event FILE; trace and
@@ -434,16 +436,7 @@ int cmd_serve(const Args& args) {
       raw.set(key, value);
   engine::ServeConfig cfg = engine::ServeConfig::from_options(raw);
   const std::size_t check_every = opt_u(args, "check", 0);
-  // The repair bound is guaranteed at the session's own drift
-  // checkpoints; align them with the external gate so every checked
-  // prefix has had its chance to self-correct. A refresh interval that
-  // divides the check interval already lands a self-correction on every
-  // gated event; anything else is replaced by the check interval itself.
-  if (check_every > 0 && cfg.policy == engine::ServePolicy::kRepair) {
-    const auto check_int = static_cast<int>(check_every);
-    if (cfg.refresh <= 0 || check_int % cfg.refresh != 0)
-      cfg.refresh = check_int;
-  }
+  cfg.align_refresh(check_every);
 
   engine::Session session(inst, cfg);
   std::ostringstream timeline;
@@ -475,23 +468,18 @@ int cmd_serve(const Args& args) {
       }
     }
   }
-  // Feasibility is judged against the world the session actually serves:
-  // the assignment's pairs re-accounted on the baked snapshot (caps and
-  // utilities as of now, not as of the parent instance).
-  const model::Instance snapshot = session.snapshot();
-  model::Assignment snapshot_assignment(snapshot);
-  for (std::size_t u = 0; u < snapshot.num_users(); ++u)
-    for (const model::StreamId s :
-         session.assignment().streams_of(static_cast<model::UserId>(u)))
-      snapshot_assignment.assign(static_cast<model::UserId>(u), s);
-  // The online policy never revokes commitments, so a capacity decrease
-  // can legitimately leave user caps exceeded on the current world —
-  // only a server-budget violation is a bug there; the greedy policies
-  // must be exactly feasible.
-  const auto report = model::validate(snapshot_assignment);
+  // Feasibility is judged against the world the session actually serves.
+  // Only a server-budget violation is a bug for two policies: online
+  // never revokes commitments, so a capacity decrease can legitimately
+  // leave user caps exceeded, and the augmented race's winner is
+  // semi-feasible by definition (Corollary 2.7). The feasible-mode
+  // greedy policies must be exactly feasible.
+  const model::ValidationReport report = session.validate_on_snapshot();
+  const bool semi_feasible_ok =
+      cfg.policy == engine::ServePolicy::kOnline ||
+      cfg.mode == core::SmdMode::kAugmented;
   const bool feasibility_ok =
-      cfg.policy == engine::ServePolicy::kOnline ? report.server_feasible()
-                                                 : report.feasible();
+      semi_feasible_ok ? report.server_feasible() : report.feasible();
   if (check_every > 0 && !feasibility_ok) {
     parity_failed = true;
     std::cerr << "serve: session assignment is infeasible\n";
@@ -843,12 +831,15 @@ int cmd_help(std::ostream& os) {
       "session (engine/session.h) under one of three repair policies and\n"
       "emits objective-over-time JSON. With --check N the session is\n"
       "compared against a from-scratch solve every N events (resolve must\n"
-      "match bit-exactly, repair must stay within --bound; exit 4 on\n"
-      "violation). 'compete' replays a trace (from --events FILE, or\n"
-      "derived via --family/--trace/--seed) through the same session and\n"
-      "solves an offline reference on every --every N checkpoint prefix's\n"
-      "materialized snapshot, reporting per-prefix online/offline/ratio\n"
-      "rows plus min/mean/final aggregates. The default reference is the\n"
+      "match bit-exactly, repair must stay within --bound) and the final\n"
+      "assignment must be feasible on the served world (the server budget\n"
+      "only under online or --mode augmented, whose winner is\n"
+      "semi-feasible); exit 4 on violation. 'compete' replays a trace\n"
+      "(from --events FILE, or derived via --family/--trace/--seed)\n"
+      "through the same session and solves an offline reference on\n"
+      "every --every N checkpoint prefix's materialized snapshot,\n"
+      "reporting per-prefix online/offline/ratio rows plus\n"
+      "min/mean/final aggregates. The default reference is the\n"
       "mode-matched §2.2 greedy, NOT the offline optimum (resolve's ratio\n"
       "against it is 1.0 bit-exactly, online's may exceed 1); --offline\n"
       "exact gives the proven optimum, and --offline ALGO any registered\n"
