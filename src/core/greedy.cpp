@@ -55,29 +55,23 @@ const char* winner_name(Winner winner) noexcept {
 RaceScores race_scores(const InstanceView& view,
                        std::span<const double> user_w,
                        std::span<const double> user_last_w) {
-  RaceScores out;
+  RaceTotals totals;
   const std::size_t users = view.num_users();
-  for (std::size_t u = 0; u < users; ++u) {
-    const double last = user_last_w[u];
-    if (last <= 0.0) continue;  // never assigned (pairs with w <= 0 never are)
-    const double w = user_w[u];
-    const double cap = view.capacity(static_cast<UserId>(u));
-    out.capped += std::min(cap, w);
-    out.w1 += a1_share(w, last, cap);
-    out.w2 += last;
-  }
-  return out;
+  for (std::size_t u = 0; u < users; ++u)
+    totals.add(user_race_share(user_w[u], user_last_w[u],
+                               view.capacity(static_cast<UserId>(u))));
+  return totals.value();
 }
 
 double amax_value(const InstanceView& view) noexcept {
   const StreamId best = amax_stream(view);
-  double w_amax = 0.0;
-  if (best == model::kInvalidStream) return w_amax;
+  if (best == model::kInvalidStream) return 0.0;
+  util::ExactSum w_amax;
   for (EdgeId e = view.first_edge(best); e < view.last_edge(best); ++e) {
     const double w = view.edge_utility(e);
-    if (w > 0.0) w_amax += std::min(view.capacity(view.edge_user(e)), w);
+    if (w > 0.0) w_amax.add(std::min(view.capacity(view.edge_user(e)), w));
   }
-  return w_amax;
+  return w_amax.value();
 }
 
 RaceResult race(SmdMode mode, const RaceScores& scores,
@@ -154,17 +148,17 @@ void CompletionTrace::finalize(const model::InstanceView& view,
   death_begin.push_back(static_cast<std::uint32_t>(death_stream.size()));
   final_user_w.assign(user_w.begin(), user_w.end());
   final_user_last_w.assign(user_last_w.begin(), user_last_w.end());
-  // Per-user split contributions at completion end, the same arithmetic
-  // race_scores() performs: a clean user in a full-consume replay
-  // (core/replay.cpp) contributes exactly these two adds.
-  final_w1_add.assign(num_users, 0.0);
-  final_w2_add.assign(num_users, 0.0);
+  // Per-user split shares at completion end, as race_scores() derives
+  // them: a clean user in a full-consume replay (core/replay.cpp)
+  // contributes exactly these two terms.
+  final_w1_add.resize(num_users);
+  final_w2_add.resize(num_users);
   for (std::size_t uu = 0; uu < num_users; ++uu) {
-    const double last = final_user_last_w[uu];
-    if (last <= 0.0) continue;
-    final_w2_add[uu] = last;
-    final_w1_add[uu] = a1_share(final_user_w[uu], last,
-                                view.capacity(static_cast<model::UserId>(uu)));
+    const RaceScores share =
+        user_race_share(final_user_w[uu], final_user_last_w[uu],
+                        view.capacity(static_cast<model::UserId>(uu)));
+    final_w1_add[uu] = share.w1;
+    final_w2_add[uu] = share.w2;
   }
   // Invert the per-pick assign CSR into per-user timelines (pick order is
   // preserved within each user: picks are scanned in order).

@@ -36,6 +36,7 @@
 #include "model/assignment.h"
 #include "model/instance.h"
 #include "model/view.h"
+#include "util/exact_sum.h"
 #include "util/float_cmp.h"
 
 namespace vdist::core {
@@ -55,6 +56,9 @@ enum class SmdMode {
 // utility in assignment order; user_last_w: the last assigned pair's
 // utility, 0 = never assigned) through race_scores() and decides through
 // race(), so equal states report equal bits wherever they are scored.
+// The sums over users are exact (RaceTotals), so the bits depend on the
+// per-user accumulators alone, not on user order or on the order in
+// which an incremental caller added and removed users' shares.
 
 // The race's candidates. winner_name() spells them ("greedy", "A1",
 // "A2", "Amax") for SmdSolveResult::variant and Session::variant().
@@ -70,21 +74,54 @@ enum class Winner : std::uint8_t { kGreedy, kA1, kA2, kAmax };
   return util::approx_le(user_w, cap) ? user_w : user_w - last_w;
 }
 
-// The greedy-side candidates' values, folded over users in user order.
+// The greedy-side candidates' values — or one user's share of them.
 struct RaceScores {
   double capped = 0.0;  // Corollary 2.7's greedy: sum_u min(W_u, w_u)
   double w1 = 0.0;      // Theorem 2.8's A1
   double w2 = 0.0;      // Theorem 2.8's A2
 };
 
-// One pass over the users' accumulators, caps read from the view.
+// One user's share of each candidate (all zero for a never-assigned
+// user: pairs with w <= 0 are never assigned).
+[[nodiscard]] inline RaceScores user_race_share(double user_w, double last_w,
+                                                double cap) noexcept {
+  if (last_w <= 0.0) return {};
+  return {user_w < cap ? user_w : cap, a1_share(user_w, last_w, cap), last_w};
+}
+
+// Running totals of users' race shares, one util::ExactSum per field:
+// O(1) add and sub, and value() is each exact total rounded once — the
+// same bits whatever order the shares came and went in.
+class RaceTotals {
+ public:
+  void add(const RaceScores& share) noexcept {
+    capped_.add(share.capped);
+    w1_.add(share.w1);
+    w2_.add(share.w2);
+  }
+  void sub(const RaceScores& share) noexcept {
+    capped_.sub(share.capped);
+    w1_.sub(share.w1);
+    w2_.sub(share.w2);
+  }
+  [[nodiscard]] RaceScores value() const noexcept {
+    return {capped_.value(), w1_.value(), w2_.value()};
+  }
+
+ private:
+  util::ExactSum capped_;
+  util::ExactSum w1_;
+  util::ExactSum w2_;
+};
+
+// The users' shares summed exactly, caps read from the view. O(users).
 [[nodiscard]] RaceScores race_scores(const model::InstanceView& view,
                                      std::span<const double> user_w,
                                      std::span<const double> user_last_w);
 
 // Lemma 2.6's Amax value under the view: the first stream of maximal
-// total utility, valued as sum_u min(W_u, w_us) over its positive pairs
-// in edge order. O(|S| + deg).
+// total utility, valued as the exact sum of min(W_u, w_us) over its
+// positive pairs. O(|S| + deg).
 [[nodiscard]] double amax_value(const model::InstanceView& view) noexcept;
 
 struct RaceResult {
@@ -243,10 +280,9 @@ struct CompletionTrace {
   // scoring path when a replay consumes the whole trace).
   std::vector<double> final_user_w;
   std::vector<double> final_user_last_w;
-  // Per-user contributions to the Theorem 2.8 split at completion end
-  // (both zero for never-assigned users): w1_add is a1_share(), w2_add
-  // the last assigned utility. A full-consume replay sums these for
-  // clean users instead of re-deriving them.
+  // Per-user shares of the Theorem 2.8 split at completion end
+  // (user_race_share()'s w1 and w2). A full-consume replay sums these
+  // for clean users instead of re-deriving them.
   std::vector<double> final_w1_add;
   std::vector<double> final_w2_add;
   // Per-user assignment timelines: user_tl_begin is CSR over users into

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "util/exact_sum.h"
 #include "util/float_cmp.h"
 
 namespace vdist::core {
@@ -166,9 +167,11 @@ bool ReplayContext::apply_pair(UserId u, double w, StreamId picked) {
     const auto sps = static_cast<std::size_t>(sp);
     double delta = 0.0;
     if constexpr (DoChild)
-      delta += (we < clamp_c ? we : clamp_c) - (we < rem_old_c ? we : rem_old_c);
+      delta +=
+          (we < clamp_c ? we : clamp_c) - (we < rem_old_c ? we : rem_old_c);
     if constexpr (DoParent)
-      delta += (we < rem_old_p ? we : rem_old_p) - (we < clamp_p ? we : clamp_p);
+      delta +=
+          (we < rem_old_p ? we : rem_old_p) - (we < clamp_p ? we : clamp_p);
     if (dw_stamp_[sps] != epoch_) {
       dw_stamp_[sps] = epoch_;
       // dw_[sps] is already +0.0 (the invariant; cleared at leaf start).
@@ -479,7 +482,8 @@ StreamId ReplayContext::ladder_next_winner() {
   // pool. Consuming a2 shifts the rungs down one (a3/v4 take over);
   // after the recorded rungs run out the ladder keeps bounding
   // winner-stays-p validations but stops resolving divergences.
-  if (!lad_valid_ || lad_a2_ == model::kInvalidStream) return model::kInvalidStream;
+  if (!lad_valid_ || lad_a2_ == model::kInvalidStream)
+    return model::kInvalidStream;
   const auto as = static_cast<std::size_t>(lad_a2_);
   if (pool_[as] == 0) return model::kInvalidStream;
   const double va2 = (base_[as] + dw_[as]) * inv_cost_[as];
@@ -546,7 +550,8 @@ bool ReplayContext::score_child(const GreedyCheckpoint& frame,
   }
   // Re-zero the previous leaf's deltas before dropping its dirty list,
   // keeping the dw-is-zero-when-clean invariant.
-  for (const StreamId s : dirty_streams_) dw_[static_cast<std::size_t>(s)] = 0.0;
+  for (const StreamId s : dirty_streams_)
+    dw_[static_cast<std::size_t>(s)] = 0.0;
   dirty_streams_.clear();
   pos_dw_.clear();
   std::copy(frame.wbar.begin(), frame.wbar.end(), base_.begin());
@@ -777,56 +782,48 @@ bool ReplayContext::score_child(const GreedyCheckpoint& frame,
   }
   cursor_stop_ = i;
 
-  // Exact Theorem 2.8 split (race_scores(), same order and arithmetic):
-  // dirty users from the tracked child accumulators, clean users from the
-  // parent's recorded per-user contributions (full consume) or a
-  // timeline cut.
-  RaceScores v{};
-  const bool full = cursor_stop_ >= n;
-  if (full) {
-    const double* const w1a = trace.final_w1_add.data();
-    const double* const w2a = trace.final_w2_add.data();
+  // The Theorem 2.8 split as race_scores() sums it (exactly, so the
+  // user order is immaterial): dirty users from the tracked child
+  // accumulators, clean users from the parent's recorded per-user shares
+  // (full consume) or a timeline cut. Only w1 and w2 are filled.
+  util::ExactSum w1;
+  util::ExactSum w2;
+  const auto add_share = [&](std::size_t uu, double w, double last) {
+    const RaceScores share = user_race_share(
+        w, last, view_->capacity(static_cast<UserId>(uu)));
+    w1.add(share.w1);
+    w2.add(share.w2);
+  };
+  if (cursor_stop_ >= n) {
     for (std::size_t uu = 0; uu < U_; ++uu) {
       if (u_stamp_[uu] == epoch_) {
-        const double w = c_uw_[uu];
-        const double last = c_ulw_[uu];
-        if (last <= 0.0) continue;  // never assigned
-        v.w1 += a1_share(w, last, view_->capacity(static_cast<UserId>(uu)));
-        v.w2 += last;
+        add_share(uu, c_uw_[uu], c_ulw_[uu]);
       } else {
-        // Recorded contributions are the identical two adds the per-user
-        // recomputation would perform (+0.0 for never-assigned users,
-        // which leaves the nonnegative accumulators bit-unchanged).
-        v.w1 += w1a[uu];
-        v.w2 += w2a[uu];
+        w1.add(trace.final_w1_add[uu]);
+        w2.add(trace.final_w2_add[uu]);
       }
     }
   } else {
     const auto cut32 = static_cast<std::uint32_t>(cursor_stop_);
     for (std::size_t uu = 0; uu < U_; ++uu) {
-      double w;
-      double last;
       if (u_stamp_[uu] == epoch_) {
-        w = c_uw_[uu];
-        last = c_ulw_[uu];
-      } else {
-        w = frame.user_w[uu];
-        last = frame.user_last_w[uu];
-        const std::uint32_t lo = trace.user_tl_begin[uu];
-        const std::uint32_t hi = trace.user_tl_begin[uu + 1];
-        for (std::uint32_t j = lo; j < hi; ++j) {
-          if (trace.tl_pick[j] >= cut32) break;
-          const double tw = trace.tl_w[j];
-          w += tw;
-          last = tw;
-        }
+        add_share(uu, c_uw_[uu], c_ulw_[uu]);
+        continue;
       }
-      if (last <= 0.0) continue;  // never assigned
-      v.w1 += a1_share(w, last, view_->capacity(static_cast<UserId>(uu)));
-      v.w2 += last;
+      double w = frame.user_w[uu];
+      double last = frame.user_last_w[uu];
+      const std::uint32_t lo = trace.user_tl_begin[uu];
+      const std::uint32_t hi = trace.user_tl_begin[uu + 1];
+      for (std::uint32_t j = lo; j < hi; ++j) {
+        if (trace.tl_pick[j] >= cut32) break;
+        const double tw = trace.tl_w[j];
+        w += tw;
+        last = tw;
+      }
+      add_share(uu, w, last);
     }
   }
-  *out = v;
+  *out = RaceScores{0.0, w1.value(), w2.value()};
   ++stats_.replayed;
   return true;
 }

@@ -53,6 +53,7 @@ void RepairCore::reset(const WorldRef& w) {
   user_last_w_.assign(U, 0.0);
   assigned_.resize(U);
   for (auto& list : assigned_) list.clear();
+  rebuild_shares(w);
   // Engine-identical init: a pool stream's residual utility starts at its
   // (effective) total — tombstoned streams start dead at 0.
   wbar_.resize(S);
@@ -67,6 +68,7 @@ void RepairCore::resolve(const WorldRef& w, const Context& ctx,
                          core::SelectStats& select) {
   reset(w);
   (void)run_completion(w, ctx, select);  // resolve needs no count
+  flush_shares(w);
 }
 
 // Re-derives every per-entity array after an overlay rebuild (append).
@@ -96,6 +98,7 @@ void RepairCore::rebind(const WorldRef& w) {
       rem_[uu] -= wv;
     }
   }
+  rebuild_shares(w);
   wbar_.assign(S, 0.0);
   for (std::size_t ss = 0; ss < S; ++ss) {
     const auto s = static_cast<StreamId>(ss);
@@ -141,6 +144,7 @@ void RepairCore::refresh_user(const WorldRef& w, UserId u, double old_clamp,
     user_last_w_[uu] = wv;
     rem_[uu] -= wv;
   }
+  mark_stale(uu);
 
   // Exact w̄ deltas for the user's pool streams: contribution moved from
   // min(w_old, old_clamp) to min(w_new, new_clamp).
@@ -181,6 +185,7 @@ void RepairCore::add_stream_state(const WorldRef& w, StreamId s, double cost,
     assigned_[uu].push_back(s);
     user_w_[uu] += wv;
     user_last_w_[uu] = wv;
+    mark_stale(uu);
     const double rem_old = rem_[uu];
     rem_[uu] -= wv;
     const double rem_new_clamped = clamp0(rem_[uu]);
@@ -248,11 +253,43 @@ std::size_t RepairCore::run_completion(const WorldRef& w, const Context& ctx,
   return added;
 }
 
+void RepairCore::flush_shares(const WorldRef& w) noexcept {
+  const auto swap_share = [&](std::size_t uu) {
+    const core::RaceScores next =
+        core::user_race_share(user_w_[uu], user_last_w_[uu], w.capacity[uu]);
+    totals_.sub(share_[uu]);
+    totals_.add(next);
+    share_[uu] = next;
+    stale_[uu] = 0;
+  };
+  // The sum is exact, so the update order is free: a long list (a
+  // completion from scratch marks most users) is swept in user order,
+  // which walks the per-user arrays sequentially instead of at random.
+  if (stale_users_.size() * 8 > stale_.size()) {
+    for (std::size_t uu = 0; uu < stale_.size(); ++uu)
+      if (stale_[uu] != 0) swap_share(uu);
+  } else {
+    for (const std::size_t uu : stale_users_) swap_share(uu);
+  }
+  stale_users_.clear();
+}
+
+void RepairCore::rebuild_shares(const WorldRef& w) {
+  const std::size_t U = w.num_users();
+  share_.resize(U);
+  stale_.assign(U, 0);
+  stale_users_.clear();
+  totals_ = {};
+  for (std::size_t uu = 0; uu < U; ++uu) {
+    share_[uu] =
+        core::user_race_share(user_w_[uu], user_last_w_[uu], w.capacity[uu]);
+    totals_.add(share_[uu]);
+  }
+}
+
 core::RaceResult RepairCore::race(const WorldRef& w,
                                   core::SmdMode mode) const {
-  const model::InstanceView view = w.view();
-  return core::race(mode, core::race_scores(view, user_w_, user_last_w_),
-                    core::amax_value(view));
+  return core::race(mode, totals_.value(), core::amax_value(w.view()));
 }
 
 model::Assignment RepairCore::winner_assignment(const WorldRef& w,
@@ -375,6 +412,7 @@ void RepairCore::post_event(const WorldRef& w, const InstanceEvent& event,
   }
 
   if (needs_completion) stats.streams_added = run_completion(w, ctx, select);
+  flush_shares(w);
 }
 
 double fresh_winner_objective(const WorldRef& w, const RepairCore::Context& ctx,

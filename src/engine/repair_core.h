@@ -5,8 +5,9 @@
 // base plus the four effective arrays an InstanceOverlay maintains.
 // RepairCore holds everything the incremental repair needs between
 // events (per-user residuals, the added sequence, pool residual
-// utilities w̄, budget accounting) and exposes the event lifecycle as
-// pre_event / post_event around the caller's world mutation.
+// utilities w̄, budget accounting, the §2.2 race's exact totals kept per
+// touched user) and exposes the event lifecycle as pre_event /
+// post_event around the caller's world mutation.
 #pragma once
 
 #include <cstdint>
@@ -84,9 +85,22 @@ class RepairCore {
                   const PreEvent& pre, const Context& ctx,
                   core::SelectStats& select, RepairStats& stats);
 
-  // The §2.2 race over the maintained state's per-user accumulators.
+  // The §2.2 race over the maintained state: the maintained totals plus
+  // the world's Amax. O(1) + amax_value's O(|S| + deg).
   [[nodiscard]] core::RaceResult race(const WorldRef& w,
                                       core::SmdMode mode) const;
+
+  // The maintained race totals: bit-equal to core::race_scores() over
+  // user_w() and user_last_w() under the world's caps.
+  [[nodiscard]] core::RaceScores race_scores() const noexcept {
+    return totals_.value();
+  }
+  [[nodiscard]] std::span<const double> user_w() const noexcept {
+    return user_w_;
+  }
+  [[nodiscard]] std::span<const double> user_last_w() const noexcept {
+    return user_last_w_;
+  }
 
   // A race winner of the maintained state as an Assignment (built from
   // the maintained semi-feasible assignment; core::materialize_winner).
@@ -104,6 +118,17 @@ class RepairCore {
                     const double* old_w);
   void add_stream_state(const WorldRef& w, model::StreamId s, double cost,
                         core::StreamSelector* selector);
+  // Notes that user uu's accumulators or cap changed. flush_shares()
+  // then swaps each noted user's old share in totals_ for its new one,
+  // once per user however many of its pairs moved.
+  void mark_stale(std::size_t uu) {
+    if (stale_[uu] != 0) return;
+    stale_[uu] = 1;
+    stale_users_.push_back(uu);
+  }
+  void flush_shares(const WorldRef& w) noexcept;
+  // Rebuilds every share and totals_ from the accumulators.
+  void rebuild_shares(const WorldRef& w);
 
   // Mirrors GreedyEngine's invariants, owner-held so fresh scoring solves
   // can share the workspace without clobbering it.
@@ -111,6 +136,12 @@ class RepairCore {
   std::vector<double> user_w_;       // per user: assigned (current) w
   std::vector<double> user_last_w_;  // per user: last assigned pair's w
   std::vector<std::vector<model::StreamId>> assigned_;  // per user, in order
+  // Per user: its race share (core::user_race_share) as added to
+  // totals_, so a change subtracts exactly what was added.
+  std::vector<core::RaceScores> share_;
+  core::RaceTotals totals_;
+  std::vector<char> stale_;               // per user: share_ out of date
+  std::vector<std::size_t> stale_users_;  // the users flagged in stale_
   std::vector<double> wbar_;                 // per stream (pool streams live)
   std::vector<double> cost_;                 // per stream
   std::vector<model::StreamId> cost_order_;  // ascending cost

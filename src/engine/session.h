@@ -89,6 +89,11 @@ class Session {
   [[nodiscard]] const SessionCounters& counters() const noexcept {
     return counters_;
   }
+  // The kRepair policy's maintained state (read-only; idle under the
+  // other policies).
+  [[nodiscard]] const RepairCore& repair_core() const noexcept {
+    return repair_;
+  }
   // Selection-kernel work accumulated across every repair/resolve.
   [[nodiscard]] const core::SelectStats& select_stats() const noexcept {
     return select_;

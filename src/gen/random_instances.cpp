@@ -22,15 +22,15 @@ std::vector<std::vector<UserId>> sample_interest(std::size_t num_streams,
                                                  std::size_t num_users,
                                                  double interest_per_stream,
                                                  util::Rng& rng) {
-  const double p =
-      std::clamp(interest_per_stream / static_cast<double>(num_users), 0.0, 1.0);
+  const std::uint64_t below = util::Rng::bernoulli_threshold(
+      interest_per_stream / static_cast<double>(num_users));
   std::vector<std::vector<UserId>> out(num_streams);
   for (std::size_t s = 0; s < num_streams; ++s) {
     for (std::size_t u = 0; u < num_users; ++u)
-      if (rng.bernoulli(p)) out[s].push_back(static_cast<UserId>(u));
+      if (rng.bernoulli_below(below)) out[s].push_back(static_cast<UserId>(u));
     if (out[s].empty())
-      out[s].push_back(
-          static_cast<UserId>(rng.uniform_int(0, static_cast<std::int64_t>(num_users) - 1)));
+      out[s].push_back(static_cast<UserId>(
+          rng.uniform_int(0, static_cast<std::int64_t>(num_users) - 1)));
   }
   return out;
 }

@@ -16,10 +16,6 @@ std::uint64_t splitmix64(std::uint64_t& x) noexcept {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) noexcept {
@@ -27,18 +23,6 @@ Rng::Rng(std::uint64_t seed) noexcept {
   for (auto& si : s_) si = splitmix64(sm);
   // Avoid the all-zero state (probability ~2^-256, but be exact).
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next_u64() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
@@ -67,8 +51,14 @@ double Rng::uniform(double lo, double hi) noexcept {
 }
 
 bool Rng::bernoulli(double p) noexcept {
-  p = std::clamp(p, 0.0, 1.0);
-  return uniform() < p;
+  return bernoulli_below(bernoulli_threshold(p));
+}
+
+std::uint64_t Rng::bernoulli_threshold(double p) noexcept {
+  if (!(p > 0.0)) return 0;  // also NaN: uniform() < NaN never holds
+  // p * 2^53 is exact (a power-of-two scale of a value in (0, 1]).
+  const double scaled = std::ldexp(std::min(p, 1.0), 53);
+  return static_cast<std::uint64_t>(std::ceil(scaled));
 }
 
 double Rng::exponential(double lambda) noexcept {

@@ -8,6 +8,7 @@
 // across standard libraries).
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -24,7 +25,18 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ULL; }
   result_type operator()() noexcept { return next_u64(); }
 
-  std::uint64_t next_u64() noexcept;
+  // xoshiro256**. Inline: generators draw it once per (stream, user).
+  std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept;
@@ -32,8 +44,17 @@ class Rng {
   // Uniform real in [lo, hi).
   double uniform(double lo = 0.0, double hi = 1.0) noexcept;
 
-  // Bernoulli trial with success probability p (clamped to [0,1]).
+  // Bernoulli trial with success probability p (clamped to [0,1]):
+  // uniform() < p, decided on the integer draw. uniform() is
+  // (next_u64() >> 11) * 2^-53, and for an integer k, k * 2^-53 < p
+  // exactly when k < ceil(p * 2^53) = bernoulli_threshold(p). Callers
+  // drawing many trials at one p compute the threshold once and call
+  // bernoulli_below() per trial: same draws, same outcomes.
   bool bernoulli(double p) noexcept;
+  [[nodiscard]] static std::uint64_t bernoulli_threshold(double p) noexcept;
+  bool bernoulli_below(std::uint64_t threshold) noexcept {
+    return (next_u64() >> 11) < threshold;
+  }
 
   // Standard exponential with rate lambda (> 0).
   double exponential(double lambda) noexcept;

@@ -3,7 +3,8 @@
 // relies on:
 //   * per workload family and policy, check_parity() holds after every
 //     event and the maintained assignment stays feasible on the
-//     materialized world;
+//     materialized world; a repair session's race totals equal a
+//     from-scratch fold of its accumulators in any user order;
 //   * replay is deterministic: the same trace yields the same per-event
 //     RepairStats, counters, variant and pair set;
 //   * the drift-check cadence, escalation and ParityReport arithmetic
@@ -19,6 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -29,6 +34,7 @@
 #include "engine/scenario.h"
 #include "gen/events.h"
 #include "gen/random_instances.h"
+#include "util/rng.h"
 #include "workload/workload.h"
 
 namespace vdist::engine {
@@ -73,6 +79,41 @@ std::set<std::pair<UserId, StreamId>> pair_set(Session& session) {
   return pairs;
 }
 
+// The repair core's maintained race totals against core::race_scores()
+// folded from scratch over its own accumulators, and that fold against
+// the same per-user arrays in a shuffled user order (caps shuffled
+// alike): all bit-equal.
+void expect_maintained_race_is_a_fold(const Session& session, util::Rng& rng,
+                                      std::size_t step) {
+  const RepairCore& repair = session.repair_core();
+  const model::InstanceOverlay& overlay = session.overlay();
+  const auto bits = [](const core::RaceScores& r) {
+    return std::array<std::uint64_t, 3>{std::bit_cast<std::uint64_t>(r.capped),
+                                        std::bit_cast<std::uint64_t>(r.w1),
+                                        std::bit_cast<std::uint64_t>(r.w2)};
+  };
+  const auto fold = bits(core::race_scores(overlay.view(), repair.user_w(),
+                                           repair.user_last_w()));
+  ASSERT_EQ(bits(repair.race_scores()), fold) << "after " << step << " events";
+
+  std::vector<std::size_t> order(repair.user_w().size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  rng.shuffle(order);
+  std::vector<double> user_w;
+  std::vector<double> user_last_w;
+  std::vector<double> caps;
+  for (const std::size_t u : order) {
+    user_w.push_back(repair.user_w()[u]);
+    user_last_w.push_back(repair.user_last_w()[u]);
+    caps.push_back(overlay.capacities()[u]);
+  }
+  const model::InstanceView shuffled(overlay.instance(),
+                                     overlay.edge_utilities(),
+                                     overlay.total_utilities(), caps);
+  ASSERT_EQ(bits(core::race_scores(shuffled, user_w, user_last_w)), fold)
+      << "shuffled users, after " << step << " events";
+}
+
 // --- Per family and policy ---------------------------------------------
 
 struct FamilyCase {
@@ -97,13 +138,20 @@ TEST_P(SessionFamilyTest, ContractHoldsAfterEveryEvent) {
               core::solve_unit_skew(session.snapshot()).utility)
         << "after " << step << " events";
   };
-  if (fc.policy == ServePolicy::kRepair) expect_resolve_matches_a_solve(0);
+  util::Rng rng(5);
+  if (fc.policy == ServePolicy::kRepair) {
+    expect_resolve_matches_a_solve(0);
+    ASSERT_NO_FATAL_FAILURE(expect_maintained_race_is_a_fold(session, rng, 0));
+  }
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const RepairStats stats = session.apply(trace[i]);
     ASSERT_EQ(stats.objective, session.objective()) << "event " << i;
-    if (fc.policy == ServePolicy::kRepair &&
-        stats.action == RepairAction::kFullResolve)
-      expect_resolve_matches_a_solve(i + 1);
+    if (fc.policy == ServePolicy::kRepair) {
+      if (stats.action == RepairAction::kFullResolve)
+        expect_resolve_matches_a_solve(i + 1);
+      ASSERT_NO_FATAL_FAILURE(
+          expect_maintained_race_is_a_fold(session, rng, i + 1));
+    }
     const ParityReport parity = session.check_parity();
     ASSERT_TRUE(parity.ok) << parity.detail << " at event " << i;
     ASSERT_EQ(parity.current, session.objective()) << "event " << i;
@@ -119,6 +167,21 @@ TEST_P(SessionFamilyTest, ContractHoldsAfterEveryEvent) {
     }
   }
   EXPECT_EQ(session.counters().events, trace.size());
+  if (fc.policy != ServePolicy::kRepair) return;
+
+  // The augmented race keeps its totals the same way. Bound 0 escalates
+  // every measured drift, so full rebuilds mix with per-user updates.
+  opts.mode = core::SmdMode::kAugmented;
+  opts.bound = 0.0;
+  Session augmented(inst, opts);
+  ASSERT_NO_FATAL_FAILURE(expect_maintained_race_is_a_fold(augmented, rng, 0));
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    augmented.apply(trace[i]);
+    const ParityReport parity = augmented.check_parity();
+    ASSERT_TRUE(parity.ok) << parity.detail << " at event " << i;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_maintained_race_is_a_fold(augmented, rng, i + 1));
+  }
 }
 
 std::string family_case_name(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -21,6 +22,25 @@ TEST(Rng, DifferentSeedsDiverge) {
   for (int i = 0; i < 64; ++i)
     if (a.next_u64() == b.next_u64()) ++same;
   EXPECT_LT(same, 2);
+}
+
+TEST(Rng, BernoulliIsUniformBelowPDrawForDraw) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (const double p : {0.0, tiny, 1e-300, 0x1p-53, 0x1p-53 + 0x1p-105, 1e-3,
+                         0.0025, 0.1, 1.0 / 3.0, 0.5, 1.0 - 0x1p-53, 1.0, 2.0,
+                         -1.0}) {
+    Rng a(99), b(99), c(99);
+    const std::uint64_t below = Rng::bernoulli_threshold(p);
+    for (int i = 0; i < 20000; ++i) {
+      const bool want = c.uniform() < std::clamp(p, 0.0, 1.0);
+      ASSERT_EQ(a.bernoulli_below(below), want) << "p " << p;
+      ASSERT_EQ(b.bernoulli(p), want) << "p " << p;
+    }
+  }
+  // Exactly at the boundary: k * 2^-53 < p for k = ceil(p * 2^53) - 1 only.
+  EXPECT_EQ(Rng::bernoulli_threshold(0x1p-53), 1u);
+  EXPECT_EQ(Rng::bernoulli_threshold(0x1p-53 + 0x1p-105), 2u);
+  EXPECT_EQ(Rng::bernoulli_threshold(1.0), std::uint64_t{1} << 53);
 }
 
 TEST(Rng, UniformIntRespectsBounds) {
