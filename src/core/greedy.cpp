@@ -21,6 +21,8 @@ using util::approx_le;
 
 namespace {
 
+[[nodiscard]] double clamp0(double x) noexcept { return x > 0.0 ? x : 0.0; }
+
 // Lemma 2.6's Amax stream: the first stream of maximal total utility, or
 // kInvalidStream when no stream has positive total.
 [[nodiscard]] StreamId amax_stream(const InstanceView& view) noexcept {
@@ -186,9 +188,13 @@ GreedyEngine::GreedyEngine(InstanceView view, SolveWorkspace& ws,
                            const GreedyOptions& opts)
     : view_(view),
       ws_(ws),
-      record_trace_(opts.record_trace),
+      strategy_(opts.strategy),
       build_assignment_(opts.build_assignment),
       result_{Assignment(view.base()), 0.0, {}, {}} {
+  init();
+}
+
+void GreedyEngine::init() {
   const std::size_t users = view_.num_users();
   const std::size_t streams = view_.num_streams();
   ws_.taken.assign(streams, 0);
@@ -210,63 +216,10 @@ GreedyEngine::GreedyEngine(InstanceView view, SolveWorkspace& ws,
   // first pair with w <= rem ends the scan (everything after it is
   // unchanged too). Reordering is exact: each pair's delta lands in its
   // own stream accumulator, so per-user visit order never affects a
-  // single floating-point sum. Built once per engine, read-only after.
+  // single floating-point sum.
   ws_.user_edge_w.resize(view_.num_edges());
   ws_.user_edge_s.resize(view_.num_edges());
-  {
-    // Each row is sorted in place in the destination arrays by an
-    // in-tandem insertion sort — rows are short on every registered
-    // scenario, and skipping the build-pairs / sort / copy-back round
-    // trip halves this loop's share of the constructor. The order
-    // (w desc, stream asc on ties) is a unique total order per row
-    // (within-user CSR streams are strictly ascending), so the big-row
-    // std::sort spill below produces the bit-identical arrays.
-    constexpr std::size_t kInsertionSortMaxDeg = 48;
-    std::vector<std::pair<double, StreamId>> spill;
-    for (std::size_t u = 0; u < users; ++u) {
-      const auto edges = view_.edges_of(static_cast<UserId>(u));
-      const auto streams_of_u = view_.streams_of(static_cast<UserId>(u));
-      const std::size_t deg = edges.size();
-      const std::size_t begin = view_.user_edge_begin(static_cast<UserId>(u));
-      double* const w_row = ws_.user_edge_w.data() + begin;
-      StreamId* const s_row = ws_.user_edge_s.data() + begin;
-      if (deg <= kInsertionSortMaxDeg) {
-        // Gather first — the utility reads are a random-index gather
-        // over the per-edge span, kept out of the shift loop — then
-        // stable-insertion-sort the row in place. Stability makes the
-        // stream tie-break free: equal-w pairs keep their input order,
-        // which is ascending stream (within-user CSR order).
-        for (std::size_t t = 0; t < deg; ++t)
-          w_row[t] = view_.edge_utility(edges[t]);
-        std::copy(streams_of_u.begin(), streams_of_u.end(), s_row);
-        for (std::size_t t = 1; t < deg; ++t) {
-          const double w = w_row[t];
-          const StreamId sp = s_row[t];
-          std::size_t j = t;
-          while (j > 0 && w_row[j - 1] < w) {
-            w_row[j] = w_row[j - 1];
-            s_row[j] = s_row[j - 1];
-            --j;
-          }
-          w_row[j] = w;
-          s_row[j] = sp;
-        }
-      } else {
-        spill.clear();
-        for (std::size_t t = 0; t < deg; ++t)
-          spill.emplace_back(view_.edge_utility(edges[t]), streams_of_u[t]);
-        std::sort(spill.begin(), spill.end(), [](const auto& a,
-                                                 const auto& b) {
-          if (a.first != b.first) return a.first > b.first;
-          return a.second < b.second;  // deterministic on w ties
-        });
-        for (std::size_t t = 0; t < deg; ++t) {
-          w_row[t] = spill[t].first;
-          s_row[t] = spill[t].second;
-        }
-      }
-    }
-  }
+  sort_rows(0, users);
   // Streams by ascending cost: run()'s budget cutoff reads the cheapest
   // stream still in the pool off this order. Stable LSD radix on the
   // order-preserving key keeps cost ties in ascending-id input order —
@@ -285,14 +238,74 @@ GreedyEngine::GreedyEngine(InstanceView view, SolveWorkspace& ws,
   ws_.touched.clear();
   ws_.touch_mark.assign(streams, 0);
   ws_.pair_log.clear();
-  selector_.reset(ws_, ws_.wbar, ws_.cost, opts.strategy);
+  repool();
+}
+
+void GreedyEngine::sort_rows(std::size_t first, std::size_t last) {
+  // Each row is sorted in place in the destination arrays by an
+  // in-tandem insertion sort — rows are short on every registered
+  // scenario, and skipping the build-pairs / sort / copy-back round trip
+  // halves this loop's share of the constructor. The order (w desc,
+  // stream asc on ties) is a unique total order per row (within-user CSR
+  // streams are strictly ascending), so the big-row std::sort spill
+  // below produces the bit-identical arrays.
+  constexpr std::size_t kInsertionSortMaxDeg = 48;
+  std::vector<std::pair<double, StreamId>> spill;
+  for (std::size_t u = first; u < last; ++u) {
+    const auto edges = view_.edges_of(static_cast<UserId>(u));
+    const auto streams_of_u = view_.streams_of(static_cast<UserId>(u));
+    const std::size_t deg = edges.size();
+    const std::size_t begin = view_.user_edge_begin(static_cast<UserId>(u));
+    double* const w_row = ws_.user_edge_w.data() + begin;
+    StreamId* const s_row = ws_.user_edge_s.data() + begin;
+    if (deg <= kInsertionSortMaxDeg) {
+      // Gather first — the utility reads are a random-index gather over
+      // the per-edge span, kept out of the shift loop — then stable-
+      // insertion-sort the row in place. Stability makes the stream
+      // tie-break free: equal-w pairs keep their input order, which is
+      // ascending stream (within-user CSR order).
+      for (std::size_t t = 0; t < deg; ++t)
+        w_row[t] = view_.edge_utility(edges[t]);
+      std::copy(streams_of_u.begin(), streams_of_u.end(), s_row);
+      for (std::size_t t = 1; t < deg; ++t) {
+        const double w = w_row[t];
+        const StreamId sp = s_row[t];
+        std::size_t j = t;
+        while (j > 0 && w_row[j - 1] < w) {
+          w_row[j] = w_row[j - 1];
+          s_row[j] = s_row[j - 1];
+          --j;
+        }
+        w_row[j] = w;
+        s_row[j] = sp;
+      }
+    } else {
+      spill.clear();
+      for (std::size_t t = 0; t < deg; ++t)
+        spill.emplace_back(view_.edge_utility(edges[t]), streams_of_u[t]);
+      std::sort(spill.begin(), spill.end(), [](const auto& a,
+                                               const auto& b) {
+        if (a.first != b.first) return a.first > b.first;
+        return a.second < b.second;  // deterministic on w ties
+      });
+      for (std::size_t t = 0; t < deg; ++t) {
+        w_row[t] = spill[t].first;
+        s_row[t] = spill[t].second;
+      }
+    }
+  }
+}
+
+void GreedyEngine::repool() {
+  selector_.reset(ws_, ws_.wbar, ws_.cost, strategy_);
   // Streams with no extractable utility are dead on arrival: drop them
   // from the pool now so the selection kernel never spends tie-breaking
   // work on the zero-effectiveness drain tail. (The run loop's
   // wbar <= kAbsEps break made them unreachable anyway.)
-  for (std::size_t s = 0; s < streams; ++s)
+  for (std::size_t s = 0; s < ws_.wbar.size(); ++s)
     if (ws_.wbar[s] <= util::kAbsEps)
       selector_.remove(static_cast<StreamId>(s));
+  cost_cursor_ = 0;
 }
 
 void GreedyEngine::add_seed(StreamId s) {
@@ -301,15 +314,11 @@ void GreedyEngine::add_seed(StreamId s) {
   // leaves the pool at construction (dead-stream removal) yet a seed
   // naming it must still be force-added and charged, exactly as before
   // the pool pruning existed.
-  if (ws_.taken[ss]) return;  // duplicate seed (or already considered)
+  if (ws_.taken[ss]) return;  // duplicate seed (or already popped)
   const double c = ws_.cost[ss];
   if (!approx_le(used_ + c, view_.budget()))
     throw std::invalid_argument("greedy seed does not fit the budget");
   ++result_.trace.num_considered;
-  if (record_trace_) {
-    result_.trace.considered.push_back(s);
-    result_.trace.added.push_back(1);
-  }
   add_stream(s, c);
   ws_.taken[ss] = 1;
   selector_.remove(s);
@@ -332,23 +341,19 @@ void GreedyEngine::run_loop() {
     // Budget cutoff: eager dead-stream removal keeps only wbar > eps
     // streams in the pool, so the moment the cheapest of them stops
     // fitting, every remaining pop would be a considered-and-skipped
-    // row. Untraced runs account for them in bulk instead of draining
-    // the heap one sift at a time.
-    if (!record_trace_) {
-      while (cost_cursor_ < ws_.cost_order.size() &&
-             !selector_.contains(ws_.cost_order[cost_cursor_]))
-        ++cost_cursor_;
-      if (cost_cursor_ >= ws_.cost_order.size()) break;  // pool empty
-      const double cheapest =
-          ws_.cost[static_cast<std::size_t>(ws_.cost_order[cost_cursor_])];
-      if (!approx_le(used_ + cheapest, B)) {
-        result_.trace.num_considered += selector_.pool_size();
-        result_.trace.skipped_budget += selector_.pool_size();
-        for (std::size_t s = 0; s < ws_.taken.size(); ++s)
-          if (selector_.contains(static_cast<StreamId>(s))) ws_.taken[s] = 1;
-        if (rec_ != nullptr) rec_->ended_on_budget = true;
-        break;
-      }
+    // row. They are accounted for in bulk instead of draining the heap
+    // one sift at a time.
+    while (cost_cursor_ < ws_.cost_order.size() &&
+           !selector_.contains(ws_.cost_order[cost_cursor_]))
+      ++cost_cursor_;
+    if (cost_cursor_ >= ws_.cost_order.size()) break;  // pool empty
+    const double cheapest =
+        ws_.cost[static_cast<std::size_t>(ws_.cost_order[cost_cursor_])];
+    if (!approx_le(used_ + cheapest, B)) {
+      result_.trace.num_considered += selector_.pool_size();
+      result_.trace.skipped_budget += selector_.pool_size();
+      if (rec_ != nullptr) rec_->ended_on_budget = true;
+      break;
     }
     const StreamId best = selector_.pop_best();
     if (best == model::kInvalidStream) break;
@@ -358,10 +363,6 @@ void GreedyEngine::run_loop() {
     ++result_.trace.num_considered;
     const double c = ws_.cost[bs];
     const bool fits = approx_le(used_ + c, B);
-    if (record_trace_) {
-      result_.trace.considered.push_back(best);
-      result_.trace.added.push_back(fits ? 1 : 0);
-    }
     if (rec_ != nullptr) {
       rec_->pick.push_back(best);
       rec_->applied.push_back(fits ? 1 : 0);
@@ -551,11 +552,6 @@ void GreedyEngine::save(GreedyCheckpoint& out) const {
   out.cost_cursor = cost_cursor_;
   out.num_considered = result_.trace.num_considered;
   out.skipped_budget = result_.trace.skipped_budget;
-  if (record_trace_) {
-    out.considered.assign(result_.trace.considered.begin(),
-                          result_.trace.considered.end());
-    out.added.assign(result_.trace.added.begin(), result_.trace.added.end());
-  }
   if (build_assignment_)
     out.pair_log.assign(ws_.pair_log.begin(), ws_.pair_log.end());
 }
@@ -574,15 +570,71 @@ void GreedyEngine::restore(const GreedyCheckpoint& in) {
   result_.capped_utility = in.capped_utility;
   result_.trace.num_considered = in.num_considered;
   result_.trace.skipped_budget = in.skipped_budget;
-  if (record_trace_) {
-    result_.trace.considered.assign(in.considered.begin(),
-                                    in.considered.end());
-    result_.trace.added.assign(in.added.begin(), in.added.end());
-  }
   if (build_assignment_) {
     ws_.pair_log.assign(in.pair_log.begin(), in.pair_log.end());
     assignment_dirty_ = true;  // lazily rebuilt on the next result()
   }
+}
+
+void GreedyEngine::clear_log() noexcept {
+  added_streams_.clear();
+  ws_.pair_log.clear();
+  assignment_dirty_ = false;
+}
+
+std::size_t GreedyEngine::reassign_user(UserId u,
+                                        std::span<const std::uint32_t> replay,
+                                        std::span<const double> old_w) {
+  const auto uu = static_cast<std::size_t>(u);
+  const auto edges = view_.edges_of(u);
+  const auto streams = view_.streams_of(u);
+  double& rem = ws_.rem[uu];
+  const double old_clamp = clamp0(rem);
+  rem = view_.capacity(u);
+  ws_.user_w[uu] = 0.0;
+  ws_.user_last_w[uu] = 0.0;
+  std::size_t kept = 0;
+  for (const std::uint32_t t : replay) {
+    if (rem <= util::kAbsEps) break;
+    const double w = view_.edge_utility(edges[t]);
+    ws_.user_w[uu] += w;
+    ws_.user_last_w[uu] = w;
+    rem -= w;
+    ++kept;
+  }
+  const double new_clamp = clamp0(rem);
+  for (std::size_t t = 0; t < edges.size(); ++t) {
+    const double w_new = view_.edge_utility(edges[t]);
+    const double w_old = old_w.empty() ? w_new : old_w[t];
+    const double contrib_new = w_new > 0.0 ? std::min(w_new, new_clamp) : 0.0;
+    const double contrib_old = w_old > 0.0 ? std::min(w_old, old_clamp) : 0.0;
+    const double delta = contrib_new - contrib_old;
+    if (delta != 0.0) ws_.wbar[static_cast<std::size_t>(streams[t])] += delta;
+  }
+  return kept;
+}
+
+void GreedyEngine::resort_row(UserId u) {
+  sort_rows(static_cast<std::size_t>(u), static_cast<std::size_t>(u) + 1);
+}
+
+void GreedyEngine::reset_wbar(StreamId s) noexcept {
+  double total = 0.0;
+  for (EdgeId e = view_.first_edge(s); e < view_.last_edge(s); ++e) {
+    const double w = view_.edge_utility(e);
+    if (w <= 0.0) continue;
+    const double c = clamp0(ws_.rem[static_cast<std::size_t>(view_.edge_user(e))]);
+    total += w < c ? w : c;
+  }
+  ws_.wbar[static_cast<std::size_t>(s)] = total;
+}
+
+void GreedyEngine::rebind(InstanceView view) {
+  view_ = view;
+  result_.assignment = Assignment(view.base());
+  added_streams_.clear();
+  assignment_dirty_ = false;
+  init();
 }
 
 RaceScores GreedyEngine::race_scores() const {

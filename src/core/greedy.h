@@ -142,14 +142,11 @@ struct RaceResult {
     std::span<const double> user_w);
 
 // How the greedy family runs: which selection strategy extracts the
-// argmax (core/select.h; the strategies are pick-for-pick identical),
-// which reusable buffer pack to solve on (null = allocate locally), and
-// whether the per-pick trace vectors are recorded (pure overhead in
-// batch sweeps and enumeration inner loops; scalar counters stay on).
+// argmax (core/select.h; the strategies are pick-for-pick identical) and
+// which reusable buffer pack to solve on (null = allocate locally).
 struct GreedyOptions {
   SelectStrategy strategy = SelectStrategy::kDeltaHeap;
   SolveWorkspace* workspace = nullptr;
-  bool record_trace = true;
   // When false, the engine skips per-pair Assignment bookkeeping entirely
   // and GreedyResult::assignment stays EMPTY — the caller scores through
   // race_scores() and materializes the race winner on demand
@@ -162,12 +159,8 @@ struct GreedyOptions {
 };
 
 struct GreedyTrace {
-  // Streams in the order the algorithm considered them (seeds first, then
-  // argmax order). Only filled when GreedyOptions::record_trace.
-  std::vector<model::StreamId> considered;
-  // Parallel to `considered`: true if the stream was added to the solution.
-  std::vector<char> added;
-  // Scalar counters, maintained regardless of record_trace.
+  // Streams considered: seeds, argmax pops, and the pool the budget
+  // cutoff skips in bulk.
   std::size_t num_considered = 0;
   // Streams skipped because c(A) + c(S) > B.
   std::size_t skipped_budget = 0;
@@ -201,8 +194,6 @@ struct GreedyCheckpoint {
   double capped_utility = 0.0;
   std::size_t num_considered = 0;
   std::size_t skipped_budget = 0;
-  std::vector<model::StreamId> considered;
-  std::vector<char> added;
   // Filled only when the engine builds assignments: the (user, stream,
   // edge) pairs assigned so far, in assignment order. Restoring replays
   // them through sync_assignment() — copying the flat log is far cheaper
@@ -328,8 +319,8 @@ class GreedyEngine {
   // Runs the argmax loop to completion while recording a CompletionTrace
   // (cleared first) for the §2.3 shared-prefix replay. Requires a heap
   // strategy (the recorder settles the heap top for exact runner-up
-  // values) and untraced mode; behaviour and picks are identical to
-  // run(), with extra per-pick evaluations from the settles.
+  // values); behaviour and picks are identical to run(), with extra
+  // per-pick evaluations from the settles.
   void run(CompletionTrace& rec);
 
   // The current result; select counters are synced on access. With
@@ -367,7 +358,74 @@ class GreedyEngine {
     return view_;
   }
 
+  // --- Live repair (engine::RepairCore) ----------------------------------
+  // A serving owner keeps the state run() leaves across world events: it
+  // edits it through the entry points below, then calls repool() and
+  // run() again, so one propagation and one run loop serve the opening
+  // solve and every repair. The owner keeps the added sequence. Between
+  // events w̄ is exact for every stream it may re-pool; the others keep
+  // w̄ <= 0 (drop_stream; propagation only lowers w̄), so repool() leaves
+  // them out.
+
+  // Per-user accumulators: assigned utility, last assigned pair's utility.
+  [[nodiscard]] std::span<const double> user_w() const noexcept {
+    return ws_.user_w;
+  }
+  [[nodiscard]] std::span<const double> user_last_w() const noexcept {
+    return ws_.user_last_w;
+  }
+  // Selection-kernel counters since the last reset of the pool.
+  [[nodiscard]] const SelectStats& select_stats() const noexcept {
+    return selector_.stats();
+  }
+  // The streams added and (build_assignment mode) the pairs assigned
+  // since the last clear_log(), in pick order. clear_log() forgets the
+  // record, not the state; result() and the materializers no longer
+  // reflect it afterwards.
+  [[nodiscard]] std::span<const model::StreamId> added_streams()
+      const noexcept {
+    return added_streams_;
+  }
+  [[nodiscard]] std::span<const AssignedPair> assigned_pairs() const noexcept {
+    return ws_.pair_log;
+  }
+  void clear_log() noexcept;
+
+  // Re-assigns user u from its current cap: releases its pairs, then
+  // assigns the pairs at adjacency positions `replay` (its added streams
+  // in added order) while its residual is above kAbsEps; returns how
+  // many were assigned. Every stream of the user then moves by the exact
+  // w̄ change from min(w_old, old clamped residual) to min(w_new, new
+  // one); `old_w` holds the user's pre-event utilities in adjacency
+  // order (empty: unchanged).
+  std::size_t reassign_user(model::UserId u,
+                            std::span<const std::uint32_t> replay,
+                            std::span<const double> old_w);
+  // Re-sorts user u's row after its utilities changed.
+  void resort_row(model::UserId u);
+  // Gives back an added stream's cost; the owner reassigns its users.
+  void release_stream(model::StreamId s) noexcept {
+    used_ -= ws_.cost[static_cast<std::size_t>(s)];
+  }
+  // w̄(s) from scratch: sum of min(w, clamped residual) over its pairs.
+  void reset_wbar(model::StreamId s) noexcept;
+  // Zeroes w̄(s), which keeps s out of repool() until w̄ rises again.
+  void drop_stream(model::StreamId s) noexcept {
+    ws_.wbar[static_cast<std::size_t>(s)] = 0.0;
+  }
+  // Pools every stream whose w̄ is above kAbsEps for the next run().
+  void repool();
+  // Re-binds to a rebuilt world with the same entity ids (an overlay
+  // append): a fresh engine's state on `view` that keeps the spent budget.
+  void rebind(model::InstanceView view);
+
  private:
+  // Everything a fresh engine sets up except the spent budget: residuals,
+  // accumulators, w̄, costs, sorted rows, cost order, the pool.
+  void init();
+  // Sorts the rows of users [first, last) of user_edge_w / user_edge_s by
+  // descending w (stream ascending on ties).
+  void sort_rows(std::size_t first, std::size_t last);
   void add_stream(model::StreamId s, double cost);
   void run_loop();
   // Rebuilds result_.assignment from the workspace pair log (replaying
@@ -377,15 +435,14 @@ class GreedyEngine {
 
   model::InstanceView view_;
   SolveWorkspace& ws_;
-  bool record_trace_ = true;
+  SelectStrategy strategy_ = SelectStrategy::kDeltaHeap;
   bool build_assignment_ = true;
   GreedyResult result_;
   StreamSelector selector_;
   std::vector<model::StreamId> added_streams_;
   // Cursor into ws_.cost_order: streams before it have left the pool.
   // The cheapest pool stream bounds every future pick's cost, so once it
-  // stops fitting the budget the whole remaining pool is one bulk skip
-  // (untraced runs only — traces need the per-stream pop order).
+  // stops fitting the budget the whole remaining pool is one bulk skip.
   std::size_t cost_cursor_ = 0;
   double used_ = 0.0;
   // Non-null while a recording run() is in flight: add_stream appends the

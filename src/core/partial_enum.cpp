@@ -247,7 +247,6 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
   // candidates are scored through the engine accumulators and only an
   // improving incumbent is materialized.
   const GreedyOptions greedy_opts{opts.strategy, &ws,
-                                  /*record_trace=*/false,
                                   /*build_assignment=*/false};
 
   // One engine for the whole enumeration; its selection counters keep
@@ -354,7 +353,6 @@ PartialEnumResult partial_enum_unit_skew(const InstanceView& view,
             SolveWorkspace tws;
             GreedyEngine teng(view, tws,
                               GreedyOptions{opts.strategy, &tws,
-                                            /*record_trace=*/false,
                                             /*build_assignment=*/false});
             // Constructor-time counters are subtracted below: the work
             // tally must not depend on how many engines were built.

@@ -159,7 +159,7 @@ struct SolveWorkspace {
   std::vector<double> cost;
   std::vector<double> user_w;       // per-user assigned (surrogate) utility
   std::vector<double> user_last_w;  // last assigned pair's utility per user
-  std::vector<char> taken;          // greedy: seeded-or-considered marks
+  std::vector<char> taken;          // greedy: seeded-or-popped marks
   std::vector<double> user_edge_w;  // user-major utilities, sorted desc
   std::vector<model::StreamId> user_edge_s;  // streams parallel to the above
   std::vector<model::StreamId> cost_order;   // streams by ascending cost

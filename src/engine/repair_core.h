@@ -3,15 +3,22 @@
 //
 // WorldRef is a read-only binding of the serving world — the structural
 // base plus the four effective arrays an InstanceOverlay maintains.
-// RepairCore holds everything the incremental repair needs between
-// events (per-user residuals, the added sequence, pool residual
-// utilities w̄, budget accounting, the §2.2 race's exact totals kept per
-// touched user) and exposes the event lifecycle as pre_event /
-// post_event around the caller's world mutation.
+// RepairCore owns one core::GreedyEngine on its own SolveWorkspace, and
+// that engine's state is the repair state: per-user residuals and
+// accumulators, pool residual utilities w̄, the spent budget, the cost
+// order and the sorted user rows. The open and every full resolve are
+// the engine's construction plus run() — the solve_unit_skew path — and
+// a repair edits the engine's state through its live-repair entry
+// points, then re-runs the engine's own loop. RepairCore adds the added
+// sequence, each user's assigned streams in order, and the §2.2 race's
+// exact totals kept per touched user, and exposes the event lifecycle
+// as pre_event / post_event around the caller's world mutation.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/greedy.h"
@@ -50,9 +57,22 @@ struct WorldRef {
   }
 };
 
+// What an event touches, derived once per event from the world's entity
+// counts: a user event names one user; an append names the next free id.
+struct EventKind {
+  bool user_event = false;
+  bool appends_user = false;
+  bool appends_stream = false;
+};
+[[nodiscard]] EventKind classify_event(const model::InstanceEvent& event,
+                                       std::size_t num_users,
+                                       std::size_t num_streams) noexcept;
+
 class RepairCore {
  public:
-  // Per-call solve context (the owner's knobs; never stored).
+  // Per-call solve context (the owner's knobs; never stored). The
+  // workspace serves the drift check's fresh solves only: the repair
+  // state lives on RepairCore's own.
   struct Context {
     core::SolveWorkspace* workspace = nullptr;
     core::SelectStrategy strategy = core::SelectStrategy::kDeltaHeap;
@@ -62,28 +82,29 @@ class RepairCore {
   // Pre-mutation snapshot for one event. The caller must have validated
   // the event's ids against the world first; pre_event() reads them.
   struct PreEvent {
-    bool user_event = false;
-    bool appends_user = false;
-    bool appends_stream = false;
+    EventKind kind;
     std::size_t old_num_users = 0;
-    double old_clamp = 0.0;   // touched user's clamped residual
     double old_cap = 0.0;     // touched user's effective cap
     double old_pair_w = 0.0;  // kUtilityChange: the pair's old value
   };
 
-  // From-scratch rebuild: engine-identical init (pool w̄ = effective
-  // totals, tombstoned streams start dead at 0) + greedy completion.
+  RepairCore() = default;
+  RepairCore(const RepairCore&) = delete;
+  RepairCore& operator=(const RepairCore&) = delete;
+
+  // From-scratch rebuild: a fresh engine on the world plus its run().
   void resolve(const WorldRef& w, const Context& ctx,
                core::SelectStats& select);
 
   [[nodiscard]] PreEvent pre_event(const WorldRef& w,
-                                   const model::InstanceEvent& event);
+                                   const model::InstanceEvent& event,
+                                   const EventKind& kind);
   // Finishes the incremental repair after the caller mutated the world
   // (and, on appends, rebound `w` to the rebuilt base). Fills
   // stats.users_refreshed / streams_released / streams_added.
   void post_event(const WorldRef& w, const model::InstanceEvent& event,
-                  const PreEvent& pre, const Context& ctx,
-                  core::SelectStats& select, RepairStats& stats);
+                  const PreEvent& pre, core::SelectStats& select,
+                  RepairStats& stats);
 
   // The §2.2 race over the maintained state: the maintained totals plus
   // the world's Amax. O(1) + amax_value's O(|S| + deg).
@@ -96,10 +117,10 @@ class RepairCore {
     return totals_.value();
   }
   [[nodiscard]] std::span<const double> user_w() const noexcept {
-    return user_w_;
+    return engine_ ? engine_->user_w() : std::span<const double>{};
   }
   [[nodiscard]] std::span<const double> user_last_w() const noexcept {
-    return user_last_w_;
+    return engine_ ? engine_->user_last_w() : std::span<const double>{};
   }
 
   // A race winner of the maintained state as an Assignment (built from
@@ -108,16 +129,19 @@ class RepairCore {
                                                     core::Winner winner) const;
 
  private:
-  [[nodiscard]] std::size_t run_completion(const WorldRef& w,
-                                           const Context& ctx,
-                                           core::SelectStats& select);
-  void reset(const WorldRef& w);
+  // A greedy completion over the pool (alive, not added, w̄ > kAbsEps)
+  // by the engine's own run loop; returns the number of streams added.
+  // Every stream that is added or tombstoned keeps w̄ <= 0 (the engine's
+  // drop_stream, and propagation only lowers w̄), so repool() leaves it
+  // out without a pass of its own.
+  std::size_t complete(core::SelectStats& select);
+  // Takes the engine's record of the picks since the last call into the
+  // added sequence and the per-user lists; returns the number of picks.
+  std::size_t take_picks();
   void rebind(const WorldRef& w);
-  void refresh_cost_arrays(const WorldRef& w);
-  void refresh_user(const WorldRef& w, model::UserId u, double old_clamp,
-                    const double* old_w);
-  void add_stream_state(const WorldRef& w, model::StreamId s, double cost,
-                        core::StreamSelector* selector);
+  // Re-assigns user u by replaying its added streams in added order.
+  void refresh_user(const WorldRef& w, model::UserId u,
+                    std::span<const double> old_w);
   // Notes that user uu's accumulators or cap changed. flush_shares()
   // then swaps each noted user's old share in totals_ for its new one,
   // once per user however many of its pairs moved.
@@ -130,11 +154,10 @@ class RepairCore {
   // Rebuilds every share and totals_ from the accumulators.
   void rebuild_shares(const WorldRef& w);
 
-  // Mirrors GreedyEngine's invariants, owner-held so fresh scoring solves
-  // can share the workspace without clobbering it.
-  std::vector<double> rem_;          // per user: cap - assigned w
-  std::vector<double> user_w_;       // per user: assigned (current) w
-  std::vector<double> user_last_w_;  // per user: last assigned pair's w
+  // The engine and its workspace (owned: the drift check's fresh solves
+  // reuse the session's workspace).
+  core::SolveWorkspace ws_;
+  std::optional<core::GreedyEngine> engine_;
   std::vector<std::vector<model::StreamId>> assigned_;  // per user, in order
   // Per user: its race share (core::user_race_share) as added to
   // totals_, so a change subtracts exactly what was added.
@@ -142,16 +165,13 @@ class RepairCore {
   core::RaceTotals totals_;
   std::vector<char> stale_;               // per user: share_ out of date
   std::vector<std::size_t> stale_users_;  // the users flagged in stale_
-  std::vector<double> wbar_;                 // per stream (pool streams live)
-  std::vector<double> cost_;                 // per stream
-  std::vector<model::StreamId> cost_order_;  // ascending cost
-  std::vector<std::int32_t> added_seq_;      // per stream: add order, -1 = pool
+  std::vector<std::int32_t> added_seq_;   // per stream: add order, -1 = pool
   std::int32_t next_seq_ = 0;
-  double used_ = 0.0;
-  // Per-event scratch: the touched user's pre-event pair utilities and
-  // the (add-sequence, adjacency-position) replay keys.
+  // Per-event scratch: the touched user's pre-event pair utilities, the
+  // (add-sequence, adjacency-position) replay keys and their positions.
   std::vector<double> snap_w_;
-  std::vector<std::pair<std::int32_t, std::int32_t>> replay_;
+  std::vector<std::pair<std::int32_t, std::uint32_t>> replay_;
+  std::vector<std::uint32_t> replay_pos_;
 };
 
 // From-scratch §2.2 winner value of the world (scoring mode, no

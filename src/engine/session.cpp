@@ -103,7 +103,6 @@ ParityReport Session::check_parity() {
   core::GreedyOptions gopts;
   gopts.strategy = opts_.strategy;
   gopts.workspace = ws_;
-  gopts.record_trace = false;
   rep.fresh = core::solve_unit_skew(snapshot(), opts_.mode, gopts).utility;
   rep.drift = (rep.fresh - objective_) / std::max(rep.fresh, 1.0);
   if (opts_.policy == ServePolicy::kResolve) {
@@ -124,7 +123,6 @@ void Session::resolve_apply() {
   core::GreedyOptions gopts;
   gopts.strategy = opts_.strategy;
   gopts.workspace = ws_;
-  gopts.record_trace = false;
   resolved_ = core::solve_unit_skew(view, opts_.mode, gopts);
   objective_ = resolved_->utility;
   select_.merge(resolved_->select);
@@ -152,36 +150,26 @@ double Session::fresh_objective() {
 void Session::repair_apply(const InstanceEvent& event, RepairStats& stats) {
   const std::size_t U = overlay_.num_users();
   const std::size_t S = overlay_.num_streams();
-  const EventType type = event.type;
-
-  const bool user_event =
-      type == EventType::kUserJoin || type == EventType::kUserLeave ||
-      type == EventType::kCapacityChange || type == EventType::kUtilityChange;
-  const bool appends_user =
-      type == EventType::kUserJoin && event.user >= 0 &&
-      static_cast<std::size_t>(event.user) == U;
-  const bool appends_stream =
-      type == EventType::kStreamAdd && event.stream >= 0 &&
-      static_cast<std::size_t>(event.stream) == S;
+  const EventKind kind = classify_event(event, U, S);
   // Out-of-range ids: let the overlay raise its canonical error before
   // any session state (or pre-event snapshot read) touches them. A
   // kUtilityChange names both a user and a stream — both must be valid
   // before the snapshot reads the pair.
   const bool bad_user =
-      user_event && !appends_user &&
+      kind.user_event && !kind.appends_user &&
       (event.user < 0 || static_cast<std::size_t>(event.user) >= U);
   const bool bad_stream =
-      ((!user_event && !appends_stream) ||
-       type == EventType::kUtilityChange) &&
+      ((!kind.user_event && !kind.appends_stream) ||
+       event.type == EventType::kUtilityChange) &&
       (event.stream < 0 || static_cast<std::size_t>(event.stream) >= S);
   if (bad_user || bad_stream) {
     overlay_.apply(event);
     throw std::logic_error("Session: overlay accepted an out-of-range id");
   }
 
-  const RepairCore::PreEvent pre = repair_.pre_event(world(), event);
+  const RepairCore::PreEvent pre = repair_.pre_event(world(), event, kind);
   overlay_.apply(event);
-  repair_.post_event(world(), event, pre, repair_context(), select_, stats);
+  repair_.post_event(world(), event, pre, select_, stats);
 
   stats.action = RepairAction::kLocalRepair;
   ++counters_.local_repairs;

@@ -7,15 +7,17 @@
 // assignment plus per-event RepairStats. Three repair policies:
 //
 //   * kRepair (default) — incremental repair. The session keeps the §2
-//     greedy's live state (per-user residual caps, per-stream residual
-//     utility w̄, the added-stream sequence — engine/repair_core.h) and
-//     reacts to an event by releasing only the touched users/streams: the
-//     affected user's pairs are replayed against the unchanged added
-//     sequence (O(deg)), each w̄ delta is propagated exactly (the same
-//     arithmetic as GreedyEngine::add_stream, reported through
-//     StreamSelector::update), and a greedy *completion* reconsiders the
-//     pool only when the event could have opened room (joins, restores,
-//     freed budget/capacity). Every `refresh` events the session
+//     greedy's live state — one core::GreedyEngine's per-user residual
+//     caps, per-stream residual utility w̄ and sorted rows, plus the
+//     added-stream sequence (engine/repair_core.h) — and reacts to an
+//     event by releasing only the touched users/streams: the affected
+//     user's pairs are replayed against the unchanged added sequence
+//     (O(deg)) with each w̄ delta applied exactly, and a greedy
+//     *completion* reconsiders the pool only when the event could have
+//     opened room (joins, restores, freed budget/capacity). The opening
+//     solve, every full resolve and every completion run the same code
+//     as GreedyEngine::run and GreedyEngine::add_stream, not a copy of
+//     its arithmetic. Every `refresh` events the session
 //     scores a from-scratch greedy (scoring mode, no assignment build);
 //     relative drift beyond `bound` triggers a full resolve that
 //     rebuilds the state.
@@ -162,8 +164,8 @@ class Session {
   core::SelectStats select_;
   double objective_ = 0.0;
 
-  // kRepair state (engine/repair_core.h), session-owned so fresh scoring
-  // solves can share the workspace without clobbering it.
+  // kRepair state (engine/repair_core.h), on its own workspace so fresh
+  // scoring solves can share ws_ without clobbering it.
   RepairCore repair_;
   core::Winner winner_ = core::Winner::kGreedy;  // what objective_ reflects
 

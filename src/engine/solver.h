@@ -105,12 +105,6 @@ struct SolveRequest {
   // leaves this null. Must outlive the solve and must never be shared by
   // two concurrent solves.
   core::SolveWorkspace* workspace = nullptr;
-  // Record per-pick trace vectors in the greedy family (GreedyOptions::
-  // record_trace). On for interactive solves; BatchRunner and the perf
-  // runner turn it off — the vectors are pure overhead across thousands
-  // of sweep cells. Scalar counters (considered/skipped counts) stay on
-  // either way.
-  bool record_trace = true;
   // Opaque caller label, echoed back in the result (batch bookkeeping).
   std::string tag;
 };

@@ -1,12 +1,11 @@
 #include "io/event_io.h"
 
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
-#include "util/float_cmp.h"
+#include "io/text_fields.h"
 
 namespace vdist::io {
 
@@ -15,17 +14,6 @@ using model::InstanceEvent;
 using model::InterestSpec;
 
 namespace {
-
-void write_number(std::ostream& os, double value) {
-  if (util::is_unbounded(value)) {
-    os << "inf";
-    return;
-  }
-  std::ostringstream ss;
-  ss.precision(std::numeric_limits<double>::max_digits10);
-  ss << value;
-  os << ss.str();
-}
 
 [[noreturn]] void parse_error(int line, const std::string& message) {
   throw std::runtime_error("events line " + std::to_string(line) + ": " +
@@ -44,15 +32,10 @@ double parse_number(const std::string& token, int line) {
   }
 }
 
-std::int32_t parse_id(const std::string& token, int line) {
-  try {
-    std::size_t pos = 0;
-    const long value = std::stol(token, &pos);
-    if (pos != token.size() || value < 0) throw std::invalid_argument(token);
-    return static_cast<std::int32_t>(value);
-  } catch (const std::exception&) {
-    parse_error(line, "expected a non-negative id, got '" + token + "'");
-  }
+std::int32_t id_field(const std::string& token, int line) {
+  const auto id = io::parse_id(token);
+  if (!id) parse_error(line, "expected a non-negative id, got '" + token + "'");
+  return *id;
 }
 
 // "<id>:<w>" interest tail entries of append events.
@@ -62,7 +45,7 @@ InterestSpec parse_interest(const std::string& token, bool user_side,
   if (colon == std::string::npos || colon == 0 || colon + 1 == token.size())
     parse_error(line, "expected <id>:<utility>, got '" + token + "'");
   InterestSpec spec;
-  const std::int32_t id = parse_id(token.substr(0, colon), line);
+  const std::int32_t id = id_field(token.substr(0, colon), line);
   if (user_side)
     spec.stream = id;  // a joining user's interests name streams
   else
@@ -75,7 +58,7 @@ void write_interests(std::ostream& os, const InstanceEvent& ev,
                      bool user_side) {
   for (const InterestSpec& spec : ev.interests) {
     os << ' ' << (user_side ? spec.stream : spec.user) << ':';
-    write_number(os, spec.utility);
+    write_double(os, spec.utility);
   }
 }
 
@@ -93,7 +76,7 @@ void save_events(std::ostream& os,
         os << "join " << ev.user;
         if (ev.value != 0.0 || !ev.interests.empty()) {
           os << ' ';
-          write_number(os, ev.value);
+          write_double(os, ev.value);
         }
         write_interests(os, ev, /*user_side=*/true);
         break;
@@ -104,17 +87,17 @@ void save_events(std::ostream& os,
         os << "stream-add " << ev.stream;
         if (ev.value != 0.0 || !ev.interests.empty()) {
           os << ' ';
-          write_number(os, ev.value);
+          write_double(os, ev.value);
         }
         write_interests(os, ev, /*user_side=*/false);
         break;
       case EventType::kCapacityChange:
         os << "capacity " << ev.user << ' ';
-        write_number(os, ev.value);
+        write_double(os, ev.value);
         break;
       case EventType::kUtilityChange:
         os << "utility " << ev.user << ' ' << ev.stream << ' ';
-        write_number(os, ev.value);
+        write_double(os, ev.value);
         break;
     }
     os << '\n';
@@ -148,16 +131,16 @@ std::vector<InstanceEvent> load_events(std::istream& is) {
     if (kind == "leave") {
       if (tokens.size() != 2) parse_error(line_number, "leave <user>");
       ev.type = EventType::kUserLeave;
-      ev.user = parse_id(tokens[1], line_number);
+      ev.user = id_field(tokens[1], line_number);
     } else if (kind == "join" || kind == "stream-add") {
       const bool user_side = kind == "join";
       if (tokens.size() < 2)
         parse_error(line_number, kind + " needs an id");
       ev.type = user_side ? EventType::kUserJoin : EventType::kStreamAdd;
       if (user_side)
-        ev.user = parse_id(tokens[1], line_number);
+        ev.user = id_field(tokens[1], line_number);
       else
-        ev.stream = parse_id(tokens[1], line_number);
+        ev.stream = id_field(tokens[1], line_number);
       if (tokens.size() >= 3) ev.value = parse_number(tokens[2], line_number);
       for (std::size_t i = 3; i < tokens.size(); ++i)
         ev.interests.push_back(
@@ -166,19 +149,19 @@ std::vector<InstanceEvent> load_events(std::istream& is) {
       if (tokens.size() != 2)
         parse_error(line_number, "stream-remove <stream>");
       ev.type = EventType::kStreamRemove;
-      ev.stream = parse_id(tokens[1], line_number);
+      ev.stream = id_field(tokens[1], line_number);
     } else if (kind == "capacity") {
       if (tokens.size() != 3)
         parse_error(line_number, "capacity <user> <value>");
       ev.type = EventType::kCapacityChange;
-      ev.user = parse_id(tokens[1], line_number);
+      ev.user = id_field(tokens[1], line_number);
       ev.value = parse_number(tokens[2], line_number);
     } else if (kind == "utility") {
       if (tokens.size() != 4)
         parse_error(line_number, "utility <user> <stream> <value>");
       ev.type = EventType::kUtilityChange;
-      ev.user = parse_id(tokens[1], line_number);
-      ev.stream = parse_id(tokens[2], line_number);
+      ev.user = id_field(tokens[1], line_number);
+      ev.stream = id_field(tokens[2], line_number);
       ev.value = parse_number(tokens[3], line_number);
     } else {
       parse_error(line_number,

@@ -1,13 +1,13 @@
 #include "io/instance_io.h"
 
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "io/text_fields.h"
 #include "util/float_cmp.h"
 
 namespace vdist::io {
@@ -21,18 +21,6 @@ namespace {
 
 constexpr const char* kMagic = "vdist-instance";
 constexpr int kVersion = 1;
-
-void write_value(std::ostream& os, double v) {
-  if (util::is_unbounded(v)) {
-    os << "inf";
-    return;
-  }
-  // max_digits10 guarantees exact round-trip through decimal.
-  std::ostringstream ss;
-  ss.precision(std::numeric_limits<double>::max_digits10);
-  ss << v;
-  os << ss.str();
-}
 
 double parse_value(const std::string& token, std::size_t line) {
   if (token == "inf") return model::kUnbounded;
@@ -63,7 +51,7 @@ void save_instance(std::ostream& os, const Instance& inst) {
   os << "dims " << m << ' ' << mc << "\n";
   for (int i = 0; i < m; ++i) {
     os << "budget " << i << ' ';
-    write_value(os, inst.budget(i));
+    write_double(os, inst.budget(i));
     os << "\n";
   }
   for (std::size_t s = 0; s < inst.num_streams(); ++s) {
@@ -71,7 +59,7 @@ void save_instance(std::ostream& os, const Instance& inst) {
     os << "stream " << s << ' ' << escape_name(inst.stream_name(sid));
     for (int i = 0; i < m; ++i) {
       os << ' ';
-      write_value(os, inst.cost(sid, i));
+      write_double(os, inst.cost(sid, i));
     }
     os << "\n";
   }
@@ -80,7 +68,7 @@ void save_instance(std::ostream& os, const Instance& inst) {
     os << "user " << u << ' ' << escape_name(inst.user_name(uid));
     for (int j = 0; j < mc; ++j) {
       os << ' ';
-      write_value(os, inst.capacity(uid, j));
+      write_double(os, inst.capacity(uid, j));
     }
     os << "\n";
   }
@@ -89,10 +77,10 @@ void save_instance(std::ostream& os, const Instance& inst) {
     for (model::EdgeId e = inst.first_edge(sid); e < inst.last_edge(sid);
          ++e) {
       os << "interest " << inst.edge_user(e) << ' ' << s << ' ';
-      write_value(os, inst.edge_utility(e));
+      write_double(os, inst.edge_utility(e));
       for (int j = 0; j < mc; ++j) {
         os << ' ';
-        write_value(os, inst.edge_load(e, j));
+        write_double(os, inst.edge_load(e, j));
       }
       os << "\n";
     }
@@ -106,6 +94,11 @@ Instance load_instance(std::istream& is) {
   auto fail = [&](const std::string& msg) -> std::runtime_error {
     return std::runtime_error("instance_io: " + msg + " at line " +
                               std::to_string(line_no));
+  };
+  auto id_field = [&](const std::string& token, const char* what) {
+    const auto id = parse_id(token);
+    if (!id) throw fail(std::string("bad ") + what + " '" + token + "'");
+    return *id;
   };
 
   // Header.
@@ -140,8 +133,8 @@ Instance load_instance(std::istream& is) {
     if (kind == "dims") {
       if (builder) throw fail("duplicate dims");
       if (tokens.size() != 2) throw fail("dims needs m and mc");
-      m = std::stoi(tokens[0]);
-      mc = std::stoi(tokens[1]);
+      m = id_field(tokens[0], "server measure count");
+      mc = id_field(tokens[1], "user measure count");
       builder = std::make_unique<InstanceBuilder>(m, mc);
       continue;
     }
@@ -149,11 +142,13 @@ Instance load_instance(std::istream& is) {
 
     if (kind == "budget") {
       if (tokens.size() != 2) throw fail("budget needs index and value");
-      builder->set_budget(std::stoi(tokens[0]), parse_value(tokens[1], line_no));
+      builder->set_budget(id_field(tokens[0], "budget index"),
+                          parse_value(tokens[1], line_no));
     } else if (kind == "stream") {
       if (tokens.size() != 2 + static_cast<std::size_t>(m))
         throw fail("stream needs id, name and m costs");
-      if (std::stoul(tokens[0]) != next_stream)
+      if (static_cast<std::size_t>(id_field(tokens[0], "stream id")) !=
+          next_stream)
         throw fail("stream ids must be dense and ordered");
       ++next_stream;
       std::vector<double> costs;
@@ -164,7 +159,8 @@ Instance load_instance(std::istream& is) {
     } else if (kind == "user") {
       if (tokens.size() != 2 + static_cast<std::size_t>(mc))
         throw fail("user needs id, name and mc capacities");
-      if (std::stoul(tokens[0]) != next_user)
+      if (static_cast<std::size_t>(id_field(tokens[0], "user id")) !=
+          next_user)
         throw fail("user ids must be dense and ordered");
       ++next_user;
       std::vector<double> caps;
@@ -175,8 +171,8 @@ Instance load_instance(std::istream& is) {
     } else if (kind == "interest") {
       if (tokens.size() != 3 + static_cast<std::size_t>(mc))
         throw fail("interest needs user, stream, utility and mc loads");
-      const auto u = static_cast<UserId>(std::stoi(tokens[0]));
-      const auto s = static_cast<StreamId>(std::stoi(tokens[1]));
+      const UserId u = id_field(tokens[0], "user id");
+      const StreamId s = id_field(tokens[1], "stream id");
       const double w = parse_value(tokens[2], line_no);
       std::vector<double> loads;
       for (int j = 0; j < mc; ++j)
@@ -209,10 +205,8 @@ void save_assignment(std::ostream& os, const model::Assignment& a) {
     for (StreamId s : a.streams_of(static_cast<UserId>(u)))
       os << "assign " << u << ' ' << s << "\n";
   os << "utility ";
-  std::ostringstream ss;
-  ss.precision(std::numeric_limits<double>::max_digits10);
-  ss << a.utility();
-  os << ss.str() << "\n";
+  write_double(os, a.utility());
+  os << "\n";
 }
 
 model::Assignment load_assignment(std::istream& is, const Instance& inst) {

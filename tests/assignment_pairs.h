@@ -1,6 +1,7 @@
-// Shared test helper: an Assignment's (user, stream) pair set in sorted
+// Shared test helpers: an Assignment's (user, stream) pair set in sorted
 // order, the canonical form the equivalence suites compare (test_select,
-// test_view, test_checkpoint).
+// test_view, test_checkpoint), and each user's streams in assignment
+// order — the greedy's pick order as each user saw it.
 #pragma once
 
 #include <algorithm>
@@ -18,6 +19,16 @@ inline std::vector<std::pair<model::UserId, model::StreamId>> pairs(
     for (model::StreamId s : a.streams_of(static_cast<model::UserId>(u)))
       out.emplace_back(static_cast<model::UserId>(u), s);
   std::sort(out.begin(), out.end());
+  return out;
+}
+
+inline std::vector<std::vector<model::StreamId>> assignment_order(
+    const model::Assignment& a) {
+  std::vector<std::vector<model::StreamId>> out;
+  for (std::size_t u = 0; u < a.instance().num_users(); ++u) {
+    const auto streams = a.streams_of(static_cast<model::UserId>(u));
+    out.emplace_back(streams.begin(), streams.end());
+  }
   return out;
 }
 

@@ -112,7 +112,6 @@ TEST(GreedyCheckpoint, ScoringModeMatchesMaterializingMode) {
     const InstanceView view = InstanceView::cap_form(inst);
     SolveWorkspace ws;
     GreedyOptions scoring{SelectStrategy::kDeltaHeap, &ws,
-                          /*record_trace=*/false,
                           /*build_assignment=*/false};
     GreedyEngine engine(view, ws, scoring);
     engine.run();

@@ -30,10 +30,12 @@ TEST(Greedy, PicksByCostEffectivenessOrder) {
       {2.0, 5.0, 4.0}, 100.0, {100.0},
       {{0, 0, 6.0}, {0, 1, 5.0}, {0, 2, 8.0}});
   const GreedyResult g = greedy_unit_skew(inst);
-  ASSERT_EQ(g.trace.considered.size(), 3u);
-  EXPECT_EQ(g.trace.considered[0], 0);
-  EXPECT_EQ(g.trace.considered[1], 2);
-  EXPECT_EQ(g.trace.considered[2], 1);
+  EXPECT_EQ(g.trace.num_considered, 3u);
+  const auto order = g.assignment.streams_of(0);
+  ASSERT_EQ(order.size(), 3u);
+  EXPECT_EQ(order[0], 0);
+  EXPECT_EQ(order[1], 2);
+  EXPECT_EQ(order[2], 1);
   EXPECT_DOUBLE_EQ(g.capped_utility, 19.0);
 }
 
@@ -67,9 +69,9 @@ TEST(Greedy, ZeroCostStreamsTakenFirst) {
   const Instance inst = build_cap_instance(
       {0.0, 1.0}, 1.0, {100.0}, {{0, 0, 0.5}, {0, 1, 50.0}});
   const GreedyResult g = greedy_unit_skew(inst);
-  EXPECT_EQ(g.trace.considered[0], 0);
-  EXPECT_TRUE(g.assignment.has(0, 0));
-  EXPECT_TRUE(g.assignment.has(0, 1));
+  ASSERT_EQ(g.assignment.streams_of(0).size(), 2u);
+  EXPECT_EQ(g.assignment.streams_of(0)[0], 0);
+  EXPECT_EQ(g.assignment.streams_of(0)[1], 1);
 }
 
 TEST(Greedy, FractionalResidualDrivesSelection) {
@@ -81,10 +83,16 @@ TEST(Greedy, FractionalResidualDrivesSelection) {
        {0, 1, 9.0}, {1, 1, 1.0},  // s1: eff (9+1)/2 = 5 initially
        {1, 2, 3.0}});             // s2: eff 3
   const GreedyResult g = greedy_unit_skew(inst);
-  // First pick: s1 (eff 5). Then user0 rem = 0 => s0 eff 0; s2 eff 3.
-  ASSERT_GE(g.trace.considered.size(), 2u);
-  EXPECT_EQ(g.trace.considered[0], 1);
-  EXPECT_EQ(g.trace.considered[1], 2);
+  // First pick: s1 (eff 5). Then user0 rem = 0 => s0 eff 0 leaves the
+  // pool unconsidered; s2 eff 3.
+  EXPECT_EQ(g.trace.num_considered, 2u);
+  const auto user0 = g.assignment.streams_of(0);
+  const auto user1 = g.assignment.streams_of(1);
+  ASSERT_EQ(user0.size(), 1u);
+  EXPECT_EQ(user0[0], 1);
+  ASSERT_EQ(user1.size(), 2u);
+  EXPECT_EQ(user1[0], 1);
+  EXPECT_EQ(user1[1], 2);
   EXPECT_DOUBLE_EQ(g.capped_utility, 9.0 + 1.0 + 3.0);
 }
 
@@ -196,10 +204,11 @@ TEST(GreedySeeded, SeedsAreForceAssignedFirst) {
       {5.0, 1.0}, 6.0, {100.0}, {{0, 0, 1.0}, {0, 1, 3.0}});
   const model::StreamId seeds[] = {0};
   const GreedyResult g = greedy_unit_skew_seeded(inst, seeds);
-  EXPECT_TRUE(g.assignment.has(0, 0));
-  EXPECT_TRUE(g.assignment.has(0, 1));
-  ASSERT_FALSE(g.trace.considered.empty());
-  EXPECT_EQ(g.trace.considered[0], 0);
+  const auto order = g.assignment.streams_of(0);
+  ASSERT_EQ(order.size(), 2u);
+  EXPECT_EQ(order[0], 0);
+  EXPECT_EQ(order[1], 1);
+  EXPECT_EQ(g.trace.num_considered, 2u);
 }
 
 // A seed with zero total utility never enters the selection pool (dead-
@@ -233,7 +242,8 @@ TEST(Greedy, EmptyInstanceDegenerates) {
   const Instance inst = std::move(b).build();
   const GreedyResult g = greedy_unit_skew(inst);
   EXPECT_EQ(g.capped_utility, 0.0);
-  EXPECT_TRUE(g.trace.considered.empty());
+  EXPECT_EQ(g.trace.num_considered, 0u);
+  EXPECT_EQ(g.assignment.num_assigned_pairs(), 0u);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "engine/scenario.h"
+#include "io/event_io.h"
 #include "util/json.h"
 #include "gen/iptv.h"
 #include "gen/random_instances.h"
@@ -206,6 +209,59 @@ TEST(InstanceIo, RejectsMalformedInput) {
   EXPECT_THROW(load("vdist-instance 1\ndims 1 1\nstream 0 - 1 2\n"),
                std::runtime_error)
       << "wrong arity";
+  // Every integer field goes through one checked id parser: a malformed
+  // id (trailing characters, a sign, overflow) is a runtime_error that
+  // names its line.
+  const auto expect_line_error = [&](const std::string& text, int line) {
+    try {
+      (void)load(text);
+      ADD_FAILURE() << "accepted:\n" << text;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      const std::string tail = "line " + std::to_string(line);
+      EXPECT_TRUE(what.size() >= tail.size() &&
+                  what.compare(what.size() - tail.size(), tail.size(),
+                               tail) == 0)
+          << what;
+    }
+  };
+  const std::string head = "vdist-instance 1\ndims 1 1\n";
+  const std::string body = head + "stream 0 - 1\nuser 0 - 5\n";
+  expect_line_error(head + "stream x0 - 1\n", 3);
+  expect_line_error(head + "stream 0x - 1\n", 3);
+  expect_line_error(head + "stream +0 - 1\n", 3);
+  expect_line_error(head + "stream 0 - 1\nuser 0z - 5\n", 4);
+  expect_line_error(body + "interest 0 0z 1 1\n", 5);
+  expect_line_error(body + "interest 0z 0 1 1\n", 5);
+  expect_line_error(body + "interest -0 0 1 1\n", 5);
+  expect_line_error(body + "interest 0 4294967296 1 1\n", 5);
+  expect_line_error("vdist-instance 1\ndims 1z 1\n", 2);
+  expect_line_error("vdist-instance 1\ndims 1 -1\n", 2);
+  expect_line_error(head + "budget 0x 5\n", 3);
+}
+
+// The writers are byte-stable: every committed trace loads and saves
+// back to its own bytes.
+TEST(TextFormats, CommittedTracesRoundTripByteIdentically) {
+  const std::filesystem::path dir =
+      std::filesystem::path(VDIST_TESTS_DIR) / ".." / "bench" / "traces";
+  std::size_t checked = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string ext = entry.path().extension().string();
+    if (ext != ".vd" && ext != ".events") continue;
+    std::ifstream in(entry.path());
+    std::ostringstream original;
+    original << in.rdbuf();
+    std::istringstream is(original.str());
+    std::ostringstream saved;
+    if (ext == ".vd")
+      save_instance(saved, load_instance(is));
+    else
+      save_events(saved, load_events(is));
+    EXPECT_TRUE(saved.str() == original.str()) << entry.path();
+    ++checked;
+  }
+  EXPECT_GE(checked, 4u);
 }
 
 TEST(InstanceIo, UnboundedValuesSerializeAsInf) {

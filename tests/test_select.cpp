@@ -30,6 +30,7 @@ using model::Instance;
 using model::StreamId;
 using model::UserId;
 
+using vdist::testing::assignment_order;
 using vdist::testing::pairs;
 
 SolveResult solve_with(const Instance& inst, const std::string& algorithm,
@@ -92,8 +93,8 @@ TEST(SelectKernel, AllStrategiesMatchOnEveryRegisteredScenario) {
   }
 }
 
-// Traces — the exact stream consideration order — must match too, not
-// just the final assignment.
+// The pick order — each user's streams in assignment order — and the
+// consideration counters must match too, not just the final pair set.
 TEST(SelectKernel, GreedyTracesIdenticalAcrossStrategies) {
   for (const char* scenario : {"cap", "trace"}) {
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
@@ -105,9 +106,10 @@ TEST(SelectKernel, GreedyTracesIdenticalAcrossStrategies) {
           greedy_unit_skew(inst, {SelectStrategy::kNaiveScan, nullptr});
       const GreedyResult delta =
           greedy_unit_skew(inst, {SelectStrategy::kDeltaHeap, nullptr});
-      EXPECT_EQ(delta.trace.considered, naive.trace.considered)
+      EXPECT_EQ(assignment_order(delta.assignment),
+                assignment_order(naive.assignment))
           << scenario << " seed " << seed;
-      EXPECT_EQ(delta.trace.added, naive.trace.added)
+      EXPECT_EQ(delta.trace.num_considered, naive.trace.num_considered)
           << scenario << " seed " << seed;
       EXPECT_EQ(delta.trace.skipped_budget, naive.trace.skipped_budget);
       EXPECT_EQ(delta.capped_utility, naive.capped_utility);
@@ -141,9 +143,10 @@ TEST(SelectKernel, TieBreakPrefersLargerResidual) {
   for (const SelectStrategy strategy :
        {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
     const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
-    ASSERT_GE(g.trace.considered.size(), 2u) << to_string(strategy);
-    EXPECT_EQ(g.trace.considered[0], 1) << to_string(strategy);
-    EXPECT_EQ(g.trace.considered[1], 0) << to_string(strategy);
+    const auto order = g.assignment.streams_of(0);
+    ASSERT_EQ(order.size(), 3u) << to_string(strategy);
+    EXPECT_EQ(order[0], 1) << to_string(strategy);
+    EXPECT_EQ(order[1], 0) << to_string(strategy);
   }
 }
 
@@ -159,8 +162,9 @@ TEST(SelectKernel, NearTieFallsBackToLowestStreamId) {
   for (const SelectStrategy strategy :
        {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
     const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
-    ASSERT_FALSE(g.trace.considered.empty());
-    EXPECT_EQ(g.trace.considered[0], 0) << to_string(strategy);
+    const auto order = g.assignment.streams_of(0);
+    ASSERT_EQ(order.size(), 2u) << to_string(strategy);
+    EXPECT_EQ(order[0], 0) << to_string(strategy);
   }
 }
 
@@ -173,10 +177,11 @@ TEST(SelectKernel, ZeroCostStreamsRankFirstUnderBothStrategies) {
   for (const SelectStrategy strategy :
        {SelectStrategy::kDeltaHeap, SelectStrategy::kNaiveScan}) {
     const GreedyResult g = greedy_unit_skew(inst, {strategy, nullptr});
-    ASSERT_GE(g.trace.considered.size(), 3u);
-    EXPECT_EQ(g.trace.considered[0], 1) << "larger w̄ among the two infs";
-    EXPECT_EQ(g.trace.considered[1], 0);
-    EXPECT_EQ(g.trace.considered[2], 2);
+    const auto order = g.assignment.streams_of(0);
+    ASSERT_EQ(order.size(), 3u);
+    EXPECT_EQ(order[0], 1) << "larger w̄ among the two infs";
+    EXPECT_EQ(order[1], 0);
+    EXPECT_EQ(order[2], 2);
   }
 }
 
@@ -321,10 +326,12 @@ TEST(SolveWorkspace, SequentialSolvesMatchFreshSolves) {
   const GreedyResult fresh_small = greedy_unit_skew(inst_small);
 
   EXPECT_EQ(reused_big.capped_utility, fresh_big.capped_utility);
-  EXPECT_EQ(reused_big.trace.considered, fresh_big.trace.considered);
+  EXPECT_EQ(assignment_order(reused_big.assignment),
+            assignment_order(fresh_big.assignment));
   EXPECT_EQ(pairs(reused_big.assignment), pairs(fresh_big.assignment));
   EXPECT_EQ(reused_small.capped_utility, fresh_small.capped_utility);
-  EXPECT_EQ(reused_small.trace.considered, fresh_small.trace.considered);
+  EXPECT_EQ(assignment_order(reused_small.assignment),
+            assignment_order(fresh_small.assignment));
   EXPECT_EQ(pairs(reused_small.assignment), pairs(fresh_small.assignment));
 
   // And across algorithms: an enum solve after the greedy ones.
@@ -394,15 +401,32 @@ TEST(SelectKernel, SeededGreedyIdenticalAcrossStrategies) {
       inst, seeds, {SelectStrategy::kNaiveScan, nullptr});
   const GreedyResult delta = greedy_unit_skew_seeded(
       inst, seeds, {SelectStrategy::kDeltaHeap, nullptr});
-  EXPECT_EQ(delta.trace.considered, naive.trace.considered);
+  EXPECT_EQ(assignment_order(delta.assignment),
+            assignment_order(naive.assignment));
+  EXPECT_EQ(delta.trace.num_considered, naive.trace.num_considered);
   EXPECT_EQ(delta.capped_utility, naive.capped_utility);
-  ASSERT_GE(naive.trace.considered.size(), 2u);
-  EXPECT_EQ(naive.trace.considered[0], 3);
-  EXPECT_EQ(naive.trace.considered[1], 7);
-  // The duplicate seed was dropped: stream 3 appears exactly once.
-  EXPECT_EQ(std::count(naive.trace.considered.begin(),
-                       naive.trace.considered.end(), StreamId{3}),
-            1);
+  // Seeds land first, in seed order, on every user they reach — and the
+  // duplicate seed was dropped: stream 3 is assigned at most once per
+  // user, and seed 7 still lands after it.
+  std::size_t seeded_users = 0;
+  for (std::size_t uu = 0; uu < inst.num_users(); ++uu) {
+    const auto u = static_cast<model::UserId>(uu);
+    std::vector<StreamId> expected;
+    double rem = inst.capacity(u, 0);
+    for (const StreamId s : {StreamId{3}, StreamId{7}}) {
+      const double w = inst.utility(u, s);
+      if (rem <= util::kAbsEps || w <= 0.0) continue;
+      expected.push_back(s);
+      rem -= w;
+    }
+    const auto order = naive.assignment.streams_of(u);
+    ASSERT_GE(order.size(), expected.size()) << "user " << uu;
+    EXPECT_TRUE(std::equal(expected.begin(), expected.end(), order.begin()))
+        << "user " << uu;
+    EXPECT_LE(std::count(order.begin(), order.end(), StreamId{3}), 1);
+    seeded_users += expected.empty() ? 0 : 1;
+  }
+  EXPECT_GT(seeded_users, 0u);
 }
 
 }  // namespace

@@ -183,6 +183,45 @@ TEST(Session, RepairStatsReportWhatHappened) {
   EXPECT_LT(leave_stats.objective, stats.objective);
 }
 
+// A tombstoned stream's entries in its users' sorted rows go stale; a
+// restore must put them back, or a later pick's w̄ propagation stops at
+// the stale entry and leaves the restored stream's w̄ too high. Here X
+// (9.5) and B (8) share user 0 (cap 10): once X is served, B is worth
+// only 0.5 and Y (3, user 1) must take the last budget slot, not B.
+TEST(Session, RestoredStreamsRejoinTheirUsersRows) {
+  // Streams X = 0, B = 1, Y = 2, Z = 3; Z (cost 2) holds the budget while
+  // the others are restored, then leaves.
+  const Instance inst = model::build_cap_instance(
+      {1.0, 1.0, 1.0, 2.0}, 2.0, {10.0, 10.0, 10.0},
+      {{0, 0, 9.5}, {0, 1, 8.0}, {1, 2, 3.0}, {2, 3, 1.0}});
+  SessionOptions opts;
+  opts.policy = ServePolicy::kRepair;
+  opts.refresh = 0;
+  opts.open_empty = true;
+  Session session(inst, opts);
+  const auto restore = [&](StreamId s) {
+    InstanceEvent ev;
+    ev.type = EventType::kStreamAdd;
+    ev.stream = s;
+    session.apply(ev);
+  };
+  restore(3);  // Z fills the budget
+  restore(1);
+  restore(0);
+  restore(2);
+  InstanceEvent remove;
+  remove.type = EventType::kStreamRemove;
+  remove.stream = 3;
+  const RepairStats stats = session.apply(remove);
+  EXPECT_EQ(stats.streams_added, 2u);
+  EXPECT_EQ(session.objective(), 12.5);
+  const model::Assignment& a = session.assignment();
+  EXPECT_TRUE(a.has(0, 0));
+  EXPECT_TRUE(a.has(1, 2));
+  EXPECT_FALSE(a.has(0, 1));
+  EXPECT_EQ(session.objective(), session.fresh_objective());
+}
+
 TEST(Session, AppendEventsGrowTheWorldUnderResolveParity) {
   const Instance inst = churn_base(13, 20, 8);
   SessionOptions opts;
